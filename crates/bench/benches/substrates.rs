@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the substrate crates: stemming,
-//! TF-IDF vectorization, sparse cosine, inverted-index search, PageRank
-//! and HITS, frequent-phrase mining, and ontology operations.
+//! corpus analysis, TF-IDF vectorization, sparse cosine, inverted-index
+//! search, PageRank and HITS, frequent-phrase mining, and ontology
+//! operations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -25,6 +26,64 @@ fn bench_stemmer(c: &mut Criterion) {
             }
         })
     });
+}
+
+/// The `i`-th of an unbounded run of distinct lowercase words.
+fn nth_word(mut i: usize) -> String {
+    let mut word = String::from("zq");
+    loop {
+        word.push(char::from(b'a' + (i % 26) as u8));
+        i /= 26;
+        if i == 0 {
+            return word;
+        }
+    }
+}
+
+/// 200 papers of 100 body words each, the `i`-th word overall being
+/// `word(i)`.
+fn papers_of(word: impl Fn(usize) -> String) -> Vec<corpus::Paper> {
+    (0..200u32)
+        .map(|p| corpus::Paper {
+            id: corpus::PaperId(p),
+            title: String::new(),
+            abstract_text: String::new(),
+            body: (0..100)
+                .map(|w| word(p as usize * 100 + w))
+                .collect::<Vec<_>>()
+                .join(" "),
+            index_terms: Vec::new(),
+            authors: Vec::new(),
+            references: Vec::new(),
+            year: 2000,
+            true_topics: Vec::new(),
+        })
+        .collect()
+}
+
+/// `Corpus::new` analyzes each distinct raw word once: 20,000 tokens
+/// drawn from 500 words, against the same count with no word repeated
+/// (the memo's worst case: every token misses it).
+fn bench_corpus_analysis(c: &mut Criterion) {
+    for (name, papers) in [
+        ("corpus/new_repeated", papers_of(|i| nth_word(i % 500))),
+        ("corpus/new_distinct", papers_of(nth_word)),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || papers.clone(),
+                |papers| {
+                    black_box(corpus::Corpus::new(
+                        papers,
+                        Vec::new(),
+                        Default::default(),
+                        &[],
+                    ))
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
 }
 
 fn bench_tfidf_and_cosine(c: &mut Criterion) {
@@ -130,6 +189,7 @@ fn bench_ontology(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_stemmer,
+    bench_corpus_analysis,
     bench_tfidf_and_cosine,
     bench_inverted_index,
     bench_pagerank_hits,

@@ -63,17 +63,15 @@ impl CorpusIndex {
         let _span = obs::span("index.build");
         let n = corpus.len();
 
-        // Whole-paper model + vectors + index.
+        // Whole-paper model + vectors + index. Each paper's sections are
+        // concatenated once per pass and dropped, never all at once.
         let (model, doc_vectors, inverted) = {
             let _s = obs::span("index.tfidf_whole");
-            let concat_docs: Vec<Vec<TermId>> = corpus
+            let whole = |id: PaperId| corpus.analyzed(id).concat();
+            let model = TfIdfModel::fit(corpus.paper_ids().map(whole));
+            let doc_vectors: Vec<SparseVector> = corpus
                 .paper_ids()
-                .map(|id| corpus.analyzed(id).concat())
-                .collect();
-            let model = TfIdfModel::fit(concat_docs.iter().map(Vec::as_slice));
-            let doc_vectors: Vec<SparseVector> = concat_docs
-                .iter()
-                .map(|d| model.vectorize_normalized(d))
+                .map(|id| model.vectorize_normalized(&whole(id)))
                 .collect();
             let inverted = InvertedIndex::build(&doc_vectors);
             (model, doc_vectors, inverted)

@@ -376,10 +376,13 @@ fn serve_connection(
     }
 
     // The first request's deadline is anchored at enqueue: queue wait
-    // spends budget. Follow-up keep-alive requests re-anchor when the
-    // previous response finishes.
+    // spends budget. A pipelined follower already in the buffer is
+    // anchored when the previous response finishes; one that arrives
+    // later is anchored when the read bringing its first byte returns,
+    // so keep-alive idle time never spends its budget.
     let mut req_start_ns = conn.enqueue_ns;
     let mut idle_since_ns = dequeue_ns;
+    let mut responded = false;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     loop {
@@ -409,6 +412,7 @@ fn serve_connection(
                 {
                     break;
                 }
+                responded = true;
                 req_start_ns = clock.now_ns();
                 idle_since_ns = req_start_ns;
                 // Loop straight back to the parser: a pipelined
@@ -448,8 +452,11 @@ fn serve_connection(
                 match stream.read(&mut chunk) {
                     Ok(0) => break,
                     Ok(n) => {
-                        buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
                         idle_since_ns = clock.now_ns();
+                        if responded && buf.is_empty() {
+                            req_start_ns = idle_since_ns;
+                        }
+                        buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
                     }
                     Err(err)
                         if err.kind() == ErrorKind::WouldBlock

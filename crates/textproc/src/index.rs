@@ -107,13 +107,17 @@ impl InvertedIndex {
     /// Build from unit-normalized document vectors, in `DocId` order.
     pub fn build(doc_vectors: &[SparseVector]) -> Self {
         let _span = obs::span("textproc.inverted_index.build");
-        let max_term = doc_vectors
-            .iter()
-            .flat_map(|v| v.terms())
-            .map(TermId::index)
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); max_term];
+        // Count each term's postings first, so that every list is
+        // allocated at its exact final length.
+        let mut lengths: Vec<usize> = Vec::new();
+        for t in doc_vectors.iter().flat_map(SparseVector::terms) {
+            let i = t.index();
+            if i >= lengths.len() {
+                lengths.resize(i + 1, 0);
+            }
+            lengths[i] += 1;
+        }
+        let mut postings: Vec<Vec<Posting>> = lengths.into_iter().map(Vec::with_capacity).collect();
         for (d, v) in doc_vectors.iter().enumerate() {
             let doc = DocId(d as u32);
             for &(t, w) in v.entries() {

@@ -9,7 +9,6 @@
 
 use crate::vocab::TermId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A sparse vector of `(term, weight)` entries, sorted by term id with no
 /// duplicate terms and no explicitly stored zeros.
@@ -39,14 +38,33 @@ impl SparseVector {
         Self { entries }
     }
 
-    /// Build a term-frequency vector by counting `terms`.
+    /// Build a term-frequency vector by counting `terms`: sort a copy,
+    /// then count each run. The entries are allocated at their exact
+    /// final length.
     pub fn from_counts(terms: &[TermId]) -> Self {
-        let mut counts: HashMap<TermId, f64> = HashMap::with_capacity(terms.len());
-        for &t in terms {
-            *counts.entry(t).or_insert(0.0) += 1.0;
+        let mut sorted = terms.to_vec();
+        sorted.sort_unstable();
+        let distinct = sorted.chunk_by(|a, b| a == b).count();
+        let mut entries = Vec::with_capacity(distinct);
+        entries.extend(
+            sorted
+                .chunk_by(|a, b| a == b)
+                .filter_map(|run| Some((*run.first()?, run.len() as f64))),
+        );
+        Self { entries }
+    }
+
+    /// Replace each weight `w` of term `t` with `f(t, w)`, in term
+    /// order, and drop the entries that become zero.
+    pub(crate) fn map_weights(&mut self, mut f: impl FnMut(TermId, f64) -> f64) {
+        for (t, w) in &mut self.entries {
+            *w = f(*t, *w);
         }
-        // lint:allow(hashmap-order-leak, from_pairs sorts by term id before storing)
-        Self::from_pairs(counts.into_iter().collect())
+        let len = self.entries.len();
+        self.entries.retain(|&(_, w)| w != 0.0);
+        if self.entries.len() < len {
+            self.entries.shrink_to_fit();
+        }
     }
 
     /// The entries, sorted by term id.
@@ -154,13 +172,17 @@ impl SparseVector {
 
     /// Normalize to unit L2 norm (no-op on zero vectors).
     pub fn normalized(&self) -> Self {
-        let n = self.norm();
-        if n == 0.0 {
-            return self.clone();
-        }
         let mut v = self.clone();
-        v.scale(1.0 / n);
+        v.normalize();
         v
+    }
+
+    /// Scale in place to unit L2 norm (no-op on zero vectors).
+    pub(crate) fn normalize(&mut self) {
+        let n = self.norm();
+        if n != 0.0 {
+            self.scale(1.0 / n);
+        }
     }
 
     /// Centroid (arithmetic mean) of a set of vectors; empty input gives
@@ -205,6 +227,25 @@ mod tests {
         assert_eq!(a.get(TermId(5)), 3.0);
         assert_eq!(a.get(TermId(2)), 1.0);
         assert_eq!(a.get(TermId(7)), 0.0);
+    }
+
+    #[test]
+    fn from_counts_is_sorted_and_exact() {
+        let a = SparseVector::from_counts(&[TermId(9), TermId(1), TermId(9), TermId(4)]);
+        assert_eq!(
+            a.entries(),
+            &[(TermId(1), 1.0), (TermId(4), 1.0), (TermId(9), 2.0)]
+        );
+        assert_eq!(a.entries.capacity(), 3);
+        assert!(SparseVector::from_counts(&[]).is_empty());
+    }
+
+    #[test]
+    fn map_weights_drops_zeros_and_keeps_exact_length() {
+        let mut a = v(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
+        a.map_weights(|t, w| if t == TermId(2) { 0.0 } else { w * 10.0 });
+        assert_eq!(a.entries(), &[(TermId(1), 10.0), (TermId(3), 30.0)]);
+        assert_eq!(a.entries.capacity(), 2);
     }
 
     #[test]

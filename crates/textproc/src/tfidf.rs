@@ -7,14 +7,14 @@
 
 use crate::sparse::SparseVector;
 use crate::vocab::TermId;
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Accumulates document-frequency statistics one document at a time.
 #[derive(Debug, Default, Clone)]
 pub struct TfIdfBuilder {
     n_docs: u64,
     df: Vec<u32>,
+    /// Per term, the number of the last document that counted it.
+    last_doc: Vec<u64>,
 }
 
 impl TfIdfBuilder {
@@ -27,38 +27,52 @@ impl TfIdfBuilder {
     /// counted once toward document frequency).
     pub fn add_document(&mut self, terms: &[TermId]) {
         self.n_docs += 1;
-        let distinct: HashSet<TermId> = terms.iter().copied().collect();
-        for t in distinct {
+        for &t in terms {
             let i = t.index();
             if i >= self.df.len() {
                 self.df.resize(i + 1, 0);
+                self.last_doc.resize(i + 1, 0);
             }
-            self.df[i] += 1;
+            if self.last_doc[i] != self.n_docs {
+                self.last_doc[i] = self.n_docs;
+                self.df[i] += 1;
+            }
         }
     }
 
-    /// Finalize into an immutable model.
+    /// Finalize into an immutable model, computing every term's idf.
     pub fn build(self) -> TfIdfModel {
+        let n_docs = self.n_docs;
         TfIdfModel {
-            n_docs: self.n_docs,
+            n_docs,
+            idf: self.df.iter().map(|&df| smoothed_idf(n_docs, df)).collect(),
+            unseen_idf: smoothed_idf(n_docs, 0),
             df: self.df,
         }
     }
 }
 
+fn smoothed_idf(n_docs: u64, df: u32) -> f64 {
+    ((n_docs as f64 + 1.0) / (df as f64 + 1.0)).ln()
+}
+
 /// An immutable TF-IDF weighting model fitted on a corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TfIdfModel {
     n_docs: u64,
     df: Vec<u32>,
+    /// Smoothed idf per term id, parallel to `df`.
+    idf: Vec<f64>,
+    /// The idf of a term no fitted document holds.
+    unseen_idf: f64,
 }
 
 impl TfIdfModel {
     /// Fit a model over an iterator of documents in one pass.
-    pub fn fit<'a>(docs: impl IntoIterator<Item = &'a [TermId]>) -> Self {
+    pub fn fit<D: AsRef<[TermId]>>(docs: impl IntoIterator<Item = D>) -> Self {
         let mut b = TfIdfBuilder::new();
         for d in docs {
-            b.add_document(d);
+            b.add_document(d.as_ref());
         }
         b.build()
     }
@@ -75,7 +89,10 @@ impl TfIdfModel {
 
     /// Smoothed inverse document frequency of `term`.
     pub fn idf(&self, term: TermId) -> f64 {
-        ((self.n_docs as f64 + 1.0) / (self.df(term) as f64 + 1.0)).ln()
+        self.idf
+            .get(term.index())
+            .copied()
+            .unwrap_or(self.unseen_idf)
     }
 
     /// TF-IDF weight for a raw in-document frequency of `term`.
@@ -88,19 +105,16 @@ impl TfIdfModel {
 
     /// Turn a token sequence into a TF-IDF vector (not normalized).
     pub fn vectorize(&self, terms: &[TermId]) -> SparseVector {
-        let counts = SparseVector::from_counts(terms);
-        SparseVector::from_pairs(
-            counts
-                .entries()
-                .iter()
-                .map(|&(t, tf)| (t, self.weight(t, tf)))
-                .collect(),
-        )
+        let mut v = SparseVector::from_counts(terms);
+        v.map_weights(|t, tf| self.weight(t, tf));
+        v
     }
 
     /// Turn a token sequence into a unit-norm TF-IDF vector.
     pub fn vectorize_normalized(&self, terms: &[TermId]) -> SparseVector {
-        self.vectorize(terms).normalized()
+        let mut v = self.vectorize(terms);
+        v.normalize();
+        v
     }
 }
 
@@ -127,6 +141,17 @@ mod tests {
         let docs = [doc(&[7, 7, 7])];
         let m = TfIdfModel::fit(docs.iter().map(Vec::as_slice));
         assert_eq!(m.df(TermId(7)), 1);
+    }
+
+    #[test]
+    fn idf_table_matches_the_formula_bit_for_bit() {
+        let docs = [doc(&[0, 1, 1]), doc(&[0, 3]), doc(&[0])];
+        let m = TfIdfModel::fit(docs.iter().map(Vec::as_slice));
+        for t in 0..6 {
+            let df = [3.0, 1.0, 0.0, 1.0, 0.0, 0.0][t as usize];
+            let expected = ((3.0f64 + 1.0) / (df + 1.0)).ln();
+            assert_eq!(m.idf(TermId(t)).to_bits(), expected.to_bits(), "term {t}");
+        }
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!    the listener is closed.
 //! 3. **CLI SIGTERM**: `litsearch serve` drains and exits cleanly on
 //!    SIGTERM, leaving the port closed.
+//! 4. **Keep-alive deadlines**: time a keep-alive connection sits idle
+//!    between requests does not spend the next request's deadline.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use litsearch::context_search::{ContextSetKind, ScoreFunction};
@@ -209,6 +212,49 @@ fn graceful_drain_answers_all_admitted_requests_then_closes_listener() {
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "listener still accepting after drain"
     );
+}
+
+#[test]
+fn keep_alive_idle_time_does_not_spend_the_next_deadline() {
+    let snap = snapshot(Scale::Tiny, 21);
+    let clock = Arc::new(obs::ManualClock::new(1_000_000_000));
+    let handle = serve::start_with_clock(
+        snap.searcher(),
+        ServerConfig {
+            workers: 2,
+            deadline_ns: 50_000_000,
+            ..Default::default()
+        },
+        Arc::clone(&clock) as Arc<dyn obs::Clock>,
+    )
+    .expect("server starts");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+
+    // Each pause between requests is longer than the whole deadline.
+    let mut buf = Vec::new();
+    let mut statuses = Vec::new();
+    for _ in 0..8 {
+        let request = search_request(
+            "biological process",
+            ContextSetKind::PatternBased,
+            ScoreFunction::Citation,
+        );
+        stream.write_all(&request).expect("write request");
+        statuses.push(read_response(&mut stream, &mut buf).0);
+        clock.advance(60_000_000);
+    }
+    assert_eq!(
+        statuses,
+        vec![200; 8],
+        "idle time spent a follower's deadline"
+    );
+    drop(stream);
+
+    let summary = handle.await_drained();
+    assert_eq!(summary.responses_ok, 8);
 }
 
 extern "C" {
