@@ -35,9 +35,8 @@
 //!   job, and `no-wallclock-outside-obs` already polices the border.
 //! - `crates/bench/**`, `crates/analysis/**` — harness/tooling, never
 //!   linked into serving.
-//! - `engine.rs`, `shadow.rs` — offline build front-end and the
-//!   off-hot-path shadow sampler (its locks are the sanctioned
-//!   sampling window).
+//! - `shadow.rs` — the off-hot-path shadow sampler (its locks are the
+//!   sanctioned sampling window).
 //! - `plan.rs` — the prepare-time stage executor; serving only shares
 //!   method *names* with it (`take`, `run`), not calls.
 
@@ -52,7 +51,6 @@ pub const BOUNDARY_PREFIXES: &[&str] = &["crates/obs/", "crates/bench/", "crates
 
 /// Single files reachability must not enter.
 pub const BOUNDARY_FILES: &[&str] = &[
-    "crates/core/src/search/engine.rs",
     "crates/core/src/search/shadow.rs",
     "crates/core/src/plan.rs",
 ];

@@ -5,6 +5,8 @@
 //! rule over-approximates on real code, or someone lands a violation,
 //! this test (and the CI `lint` job) fails.
 
+use analysis::callgraph::CallGraph;
+use analysis::reach::{ALLOC_ROOTS, SERVE_ROOTS};
 use analysis::rules::span_coverage;
 use analysis::{lint, LintConfig, Workspace};
 use std::path::{Path, PathBuf};
@@ -62,6 +64,24 @@ fn suppressions_are_few_and_justified() {
             s.path,
             s.line,
             s.reason
+        );
+    }
+}
+
+#[test]
+fn every_reachability_root_names_a_real_function() {
+    // `reachable_from` skips a root that matches no function, so a root
+    // left behind by moved or renamed query code would switch the
+    // serve-path rules off without a finding.
+    let ws = Workspace::from_root(&workspace_root()).expect("scan workspace");
+    let graph = CallGraph::build(&ws);
+    for &(path, name) in SERVE_ROOTS.iter().chain(ALLOC_ROOTS) {
+        let node = graph
+            .find(path, name)
+            .unwrap_or_else(|| panic!("root {path}::{name} names no function in the workspace"));
+        assert!(
+            !graph.nodes[node].is_boundary,
+            "root {path}::{name} sits on the reachability stop-list"
         );
     }
 }

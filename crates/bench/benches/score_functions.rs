@@ -1,13 +1,21 @@
 //! Criterion benchmarks of the paper's three prestige score functions
 //! and the end-to-end pipeline stages, on a small shared testbed.
 
-use context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use context_search::assign::{build_pattern_sets, build_text_sets};
+use context_search::{
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction, Searcher,
+};
 use corpus::{generate_corpus, CorpusConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ontology::{generate_ontology, GeneratorConfig};
 use std::hint::black_box;
+use std::sync::Arc;
 
-fn build_engine() -> ContextSearchEngine {
+/// The table the query benchmarks serve.
+const PAIR: (ContextSetKind, ScoreFunction) =
+    (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+
+fn build_snapshot() -> Arc<EngineSnapshot> {
     let onto = generate_ontology(&GeneratorConfig {
         n_terms: 150,
         seed: 3,
@@ -23,54 +31,72 @@ fn build_engine() -> ContextSearchEngine {
             ..Default::default()
         },
     );
-    ContextSearchEngine::build(onto, corp, EngineConfig::default())
+    let options = PrepareOptions { pairs: vec![PAIR] };
+    EngineSnapshot::prepare_with(onto, corp, EngineConfig::default(), options)
+}
+
+/// A level-3 term name: a query that selects a few mid-level contexts.
+fn level3_query(snap: &EngineSnapshot) -> String {
+    let onto = snap.ontology();
+    let term = onto
+        .term_ids()
+        .find(|&t| onto.level(t) == 3)
+        .expect("level-3 term");
+    onto.term(term).name.clone()
 }
 
 fn bench_pipeline(c: &mut Criterion) {
-    let engine = build_engine();
+    let snap = build_snapshot();
+    let (onto, corp, index, config) = (snap.ontology(), snap.corpus(), snap.index(), snap.config());
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
 
     group.bench_function("text_context_sets", |b| {
-        b.iter(|| black_box(engine.text_context_sets()))
+        b.iter(|| black_box(build_text_sets(onto, corp, index, config)))
     });
+    let patterns = snap.patterns().expect("prepared with a pattern pair");
     group.bench_function("pattern_context_sets", |b| {
-        // Patterns are cached after the first call; this measures the
+        // Patterns are mined once by prepare; this measures the
         // assignment sweep itself.
-        b.iter(|| black_box(engine.pattern_context_sets()))
+        b.iter(|| black_box(build_pattern_sets(onto, corp, index, patterns, config)))
     });
 
-    let tsets = engine.text_context_sets();
-    let psets = engine.pattern_context_sets();
-    group.bench_function("prestige/citation", |b| {
-        b.iter(|| black_box(engine.prestige(&psets, ScoreFunction::Citation)))
-    });
-    group.bench_function("prestige/text", |b| {
-        b.iter(|| black_box(engine.prestige(&tsets, ScoreFunction::Text)))
-    });
-    group.bench_function("prestige/pattern", |b| {
-        b.iter(|| black_box(engine.prestige(&psets, ScoreFunction::Pattern)))
-    });
+    let tsets = snap.sets(ContextSetKind::TextBased);
+    let psets = snap.sets(ContextSetKind::PatternBased);
+    for (name, sets, function) in [
+        ("prestige/citation", psets, ScoreFunction::Citation),
+        ("prestige/text", tsets, ScoreFunction::Text),
+        ("prestige/pattern", psets, ScoreFunction::Pattern),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(snap.prestige_with_options(sets, function, true, true)))
+        });
+    }
     group.finish();
 
-    let prestige = engine.prestige(&psets, ScoreFunction::Pattern);
-    let term = engine
-        .ontology()
-        .term_ids()
-        .find(|&t| engine.ontology().level(t) == 3)
-        .expect("level-3 term");
-    let query = engine.ontology().term(term).name.clone();
+    let searcher = snap.searcher();
+    let query = level3_query(&snap);
     let mut group = c.benchmark_group("query");
     group.bench_function("context_search", |b| {
-        b.iter(|| black_box(engine.search(black_box(&query), &psets, &prestige, 20)))
+        b.iter(|| black_box(search(&searcher, black_box(&query))))
     });
     group.bench_function("keyword_baseline", |b| {
-        b.iter(|| black_box(engine.keyword_search(black_box(&query), 0.0)))
+        b.iter(|| black_box(snap.keyword_search(black_box(&query), 0.0)))
     });
     group.bench_function("ac_answer_set", |b| {
-        b.iter(|| black_box(engine.ac_answer_set(black_box(&query))))
+        b.iter(|| black_box(snap.ac_answer_set(black_box(&query))))
     });
     group.finish();
+}
+
+/// Tasks 4 + 5 over the prepared table, without the serve path's
+/// `serve.query` span and counter.
+fn search(searcher: &Searcher, query: &str) -> usize {
+    let snap = searcher.snapshot();
+    let prestige = snap.prestige(PAIR.0, PAIR.1).expect("prepared pair");
+    searcher
+        .search(query, snap.sets(PAIR.0), prestige, 20)
+        .len()
 }
 
 /// The search hot path with telemetry off vs on. The disabled cost is
@@ -78,24 +104,18 @@ fn bench_pipeline(c: &mut Criterion) {
 /// bookkeeping. Compare the two medians — enabled must stay within a
 /// few percent of disabled.
 fn bench_obs_overhead(c: &mut Criterion) {
-    let engine = build_engine();
-    let psets = engine.pattern_context_sets();
-    let prestige = engine.prestige(&psets, ScoreFunction::Pattern);
-    let term = engine
-        .ontology()
-        .term_ids()
-        .find(|&t| engine.ontology().level(t) == 3)
-        .expect("level-3 term");
-    let query = engine.ontology().term(term).name.clone();
+    let snap = build_snapshot();
+    let searcher = snap.searcher();
+    let query = level3_query(&snap);
 
     let mut group = c.benchmark_group("obs_overhead");
     obs::disable();
     group.bench_function("search/telemetry_off", |b| {
-        b.iter(|| black_box(engine.search(black_box(&query), &psets, &prestige, 20)))
+        b.iter(|| black_box(search(&searcher, black_box(&query))))
     });
     obs::enable();
     group.bench_function("search/telemetry_on", |b| {
-        b.iter(|| black_box(engine.search(black_box(&query), &psets, &prestige, 20)))
+        b.iter(|| black_box(search(&searcher, black_box(&query))))
     });
     obs::disable();
     obs::reset();

@@ -37,6 +37,7 @@ fn precision_curves(
     for q in &setup.queries {
         let truth: HashSet<u32> = setup
             .searcher
+            .snapshot()
             .ac_answer_set(&q.text)
             .into_iter()
             .map(|p| p.0)
@@ -334,6 +335,7 @@ pub fn baseline_vs_context(setup: &Setup) -> Vec<Table> {
     for q in &setup.queries {
         let truth: HashSet<u32> = setup
             .searcher
+            .snapshot()
             .ac_answer_set(&q.text)
             .into_iter()
             .map(|p| p.0)
@@ -343,6 +345,7 @@ pub fn baseline_vs_context(setup: &Setup) -> Vec<Table> {
         }
         let kw: HashSet<u32> = setup
             .searcher
+            .snapshot()
             .keyword_search(&q.text, 0.10)
             .into_iter()
             .map(|(p, _)| p.0)
@@ -470,6 +473,7 @@ pub fn related_gopubmed(setup: &Setup) -> Vec<Table> {
         specific_coverages.push(specific_hits.len() as f64 / r.n_hits as f64);
         // Context-based assignment coverage of the same hits.
         let hits: Vec<corpus::PaperId> = engine
+            .snapshot()
             .keyword_search(&q.text, 0.10)
             .into_iter()
             .map(|(p, _)| p)
@@ -572,8 +576,12 @@ pub fn ablations(setup: &Setup) -> Vec<Table> {
 
     // 3. Simplified (middle-only, §4) vs full (§3.3) pattern matching.
     {
-        let full =
-            engine.prestige_with_options(&setup.pattern_sets, ScoreFunction::Pattern, false, true);
+        let full = engine.snapshot().prestige_with_options(
+            &setup.pattern_sets,
+            ScoreFunction::Pattern,
+            false,
+            true,
+        );
         let simp = &setup.pattern_on_pattern;
         let mut overlaps = Vec::new();
         let (mut sd_full, mut sd_simp) = (Vec::new(), Vec::new());
@@ -646,7 +654,7 @@ pub fn ablations(setup: &Setup) -> Vec<Table> {
     // 6 (§7 future work). Weighted cross-context citation
     // relationships vs the plain within-context-only function.
     {
-        let weighted = engine.weighted_citation_prestige(
+        let weighted = engine.snapshot().weighted_citation_prestige(
             &setup.pattern_sets,
             &context_search::prestige::citation_weighted::CrossContextWeights::default(),
         );
@@ -698,8 +706,12 @@ pub fn ablations(setup: &Setup) -> Vec<Table> {
 
     // 5. Hierarchy max-propagation on vs off: effect on precision@0.2.
     {
-        let no_prop =
-            engine.prestige_with_options(&setup.pattern_sets, ScoreFunction::Pattern, true, false);
+        let no_prop = engine.snapshot().prestige_with_options(
+            &setup.pattern_sets,
+            ScoreFunction::Pattern,
+            true,
+            false,
+        );
         let t_idx = setup
             .config
             .thresholds

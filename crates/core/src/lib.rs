@@ -19,7 +19,7 @@
 //! * [`prestige`] — the three §3 score functions plus the hierarchy
 //!   max-propagation rule,
 //! * [`search`] — context selection, relevancy scoring, and the
-//!   end-to-end engine,
+//!   lock-free [`Searcher`],
 //! * [`ac_answer`] — the §2 AC(artificially-constructed)-answer sets
 //!   used for precision evaluation,
 //! * [`plan`] + [`snapshot`] — the prepare/serve architecture: a
@@ -30,7 +30,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+//! use context_search::{
+//!     ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction,
+//! };
 //! use ontology::{generate_ontology, GeneratorConfig};
 //! use corpus::{generate_corpus, CorpusConfig};
 //!
@@ -38,12 +40,13 @@
 //! let corp = generate_corpus(&onto, &CorpusConfig {
 //!     n_papers: 120, body_len: (40, 60), abstract_len: (20, 30), ..Default::default()
 //! });
-//! let engine = ContextSearchEngine::build(onto, corp, EngineConfig::default());
-//! let sets = engine.text_context_sets();
-//! let prestige = engine.prestige(&sets, ScoreFunction::Text);
-//! let hits = engine.search("transcription factor binding", &sets, &prestige, 10);
+//! let pair = (ContextSetKind::TextBased, ScoreFunction::Text);
+//! let snapshot = EngineSnapshot::prepare_with(onto, corp, EngineConfig::default(),
+//!     PrepareOptions { pairs: vec![pair] });
+//! let searcher = snapshot.searcher();
+//! let hits = searcher.query("transcription factor binding", pair.0, pair.1, 10).unwrap();
 //! for hit in hits {
-//!     println!("{:.3}  {}", hit.relevancy, engine.corpus().paper(hit.paper).title);
+//!     println!("{:.3}  {}", hit.relevancy, searcher.corpus().paper(hit.paper).title);
 //! }
 //! ```
 
@@ -61,8 +64,7 @@ pub mod snapshot;
 pub use config::EngineConfig;
 pub use context::{ContextId, ContextPaperSets, ContextSetKind};
 pub use prestige::{PrestigeScores, ScoreFunction};
-pub use search::engine::{ContextSearchEngine, SearchResult};
-pub use search::exec::QueryStats;
+pub use search::exec::{QueryStats, SearchResult};
 pub use search::serve::{Searcher, ServeError};
 pub use search::shadow::{shadow_evaluate, QualityShadow, ShadowConfig, SHADOW_FUNCTIONS};
 pub use snapshot::{EngineSnapshot, PrepareOptions};

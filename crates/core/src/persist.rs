@@ -42,23 +42,10 @@ pub struct ContextSetsFile {
     pub inherited_from: Vec<(u32, u32)>,
 }
 
-/// Version-1 on-disk form of [`PrestigeScores`] (pair-shaped). Still
-/// accepted by [`prestige_from_json`] so old snapshots keep loading;
-/// new files are written as [`PrestigeFileV2`].
+/// Stable on-disk form of [`PrestigeScores`]: native sorted columns,
+/// so loading is a validation pass instead of a rebuild-and-sort.
 #[derive(Debug, Serialize, Deserialize)]
-pub struct PrestigeFile {
-    /// "citation", "text", or "pattern".
-    pub function: String,
-    /// `(context, [(paper, score)])` entries, sorted by context id.
-    pub scores: Vec<(u32, Vec<(u32, f64)>)>,
-}
-
-/// Version-2 on-disk form of [`PrestigeScores`]: native sorted columns,
-/// so loading is a validation pass instead of a rebuild-and-sort. The
-/// field name (`columns` vs the v1 `scores`) is what distinguishes the
-/// two shapes on read.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct PrestigeFileV2 {
+pub struct PrestigeColumnsFile {
     /// "citation", "text", or "pattern".
     pub function: String,
     /// `(context, papers, values)` column triples: contexts ascending,
@@ -69,19 +56,13 @@ pub struct PrestigeFileV2 {
 /// The magic string identifying a snapshot directory's header file.
 pub const SNAPSHOT_MAGIC: &str = "litsearch-snapshot";
 
-/// Current on-disk snapshot format version. Bump on any layout change;
-/// [`load_snapshot`] rejects versions outside
-/// [`MIN_SNAPSHOT_VERSION`]`..=`[`SNAPSHOT_VERSION`] with a clean
+/// The on-disk snapshot format version. Bump on any layout change;
+/// [`load_snapshot`] rejects every other version with a clean
 /// [`PersistError::VersionMismatch`].
 ///
-/// Version history: 1 = pair-shaped prestige files; 2 = columnar
-/// prestige files ([`PrestigeFileV2`]).
+/// Version history: 1 = pair-shaped prestige files (no longer read);
+/// 2 = columnar prestige files ([`PrestigeColumnsFile`]).
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// Oldest snapshot format version this build still reads. Version-1
-/// directories load through the pair-shaped fallback parse and produce
-/// byte-identical engines.
-pub const MIN_SNAPSHOT_VERSION: u32 = 1;
 
 /// The `snapshot.json` header of a snapshot directory: identifies the
 /// format, versions it, and records enough shape to cross-check the
@@ -143,7 +124,7 @@ impl std::fmt::Display for PersistError {
             Self::VersionMismatch { found, expected } => write!(
                 f,
                 "snapshot format version {found} is not supported \
-                 (this build reads {MIN_SNAPSHOT_VERSION}..={expected})"
+                 (this build reads version {expected})"
             ),
             Self::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
@@ -225,58 +206,40 @@ pub fn context_sets_from_json(json: &str) -> Result<ContextPaperSets, PersistErr
     Ok(sets)
 }
 
-/// Serialize prestige scores to JSON (the v2 columnar shape — the
+/// Serialize prestige scores to JSON (the columnar shape — the
 /// in-memory columns go to disk as-is, contexts ascending).
 pub fn prestige_to_json(prestige: &PrestigeScores) -> Result<String, PersistError> {
     let columns: Vec<(u32, Vec<u32>, Vec<f64>)> = prestige
         .iter_columns()
         .map(|(c, papers, values)| (c.0, papers.iter().map(|p| p.0).collect(), values.to_vec()))
         .collect();
-    let file = PrestigeFileV2 {
+    let file = PrestigeColumnsFile {
         function: prestige.function.name().to_string(),
         columns,
     };
     Ok(serde_json::to_string(&file)?)
 }
 
-/// Load prestige scores from JSON: the v2 columnar shape written by
-/// [`prestige_to_json`], or the v1 pair shape (sorted into columns on
-/// read), distinguished by field name. Both produce identical
-/// in-memory state for the same scores.
+/// Load prestige scores from JSON produced by [`prestige_to_json`].
 pub fn prestige_from_json(json: &str) -> Result<PrestigeScores, PersistError> {
-    if let Ok(file) = serde_json::from_str::<PrestigeFileV2>(json) {
-        let function = function_from_name(&file.function)?;
-        let mut cols: Vec<(ContextId, Vec<PaperId>, Vec<f64>)> =
-            Vec::with_capacity(file.columns.len());
-        for (c, papers, values) in file.columns {
-            if papers.len() != values.len() {
-                return Err(PersistError::Corrupt(format!(
-                    "prestige context {c}: {} papers but {} values",
-                    papers.len(),
-                    values.len()
-                )));
-            }
-            cols.push((
-                ontology::TermId(c),
-                papers.into_iter().map(PaperId).collect(),
-                values,
-            ));
-        }
-        return Ok(PrestigeScores::from_context_columns(cols, function));
-    }
-    let file: PrestigeFile = serde_json::from_str(json)?;
+    let file: PrestigeColumnsFile = serde_json::from_str(json)?;
     let function = function_from_name(&file.function)?;
-    let by_context: HashMap<ContextId, Vec<(PaperId, f64)>> = file
-        .scores
-        .into_iter()
-        .map(|(c, ps)| {
-            (
-                ontology::TermId(c),
-                ps.into_iter().map(|(p, s)| (PaperId(p), s)).collect(),
-            )
-        })
-        .collect();
-    Ok(PrestigeScores::new(by_context, function))
+    let mut cols: Vec<(ContextId, Vec<PaperId>, Vec<f64>)> = Vec::with_capacity(file.columns.len());
+    for (c, papers, values) in file.columns {
+        if papers.len() != values.len() {
+            return Err(PersistError::Corrupt(format!(
+                "prestige context {c}: {} papers but {} values",
+                papers.len(),
+                values.len()
+            )));
+        }
+        cols.push((
+            ontology::TermId(c),
+            papers.into_iter().map(PaperId).collect(),
+            values,
+        ));
+    }
+    Ok(PrestigeScores::from_context_columns(cols, function))
 }
 
 fn sets_file_name(kind: ContextSetKind) -> String {
@@ -402,7 +365,7 @@ pub fn load_snapshot(
     if header.magic != SNAPSHOT_MAGIC {
         return Err(PersistError::BadMagic(header.magic));
     }
-    if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&header.version) {
+    if header.version != SNAPSHOT_VERSION {
         return Err(PersistError::VersionMismatch {
             found: header.version,
             expected: SNAPSHOT_VERSION,
@@ -511,24 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_pair_shaped_prestige_json_still_loads() {
-        // The exact shape SNAPSHOT_VERSION=1 builds wrote — unsorted
-        // pairs included.
-        let json = r#"{"function":"text","scores":[[3,[[5,1.0],[1,0.25]]]]}"#;
-        let loaded = prestige_from_json(json).unwrap();
-        assert_eq!(loaded.function, ScoreFunction::Text);
-        assert_eq!(
-            loaded.scores(TermId(3)),
-            vec![(PaperId(1), 0.25), (PaperId(5), 1.0)]
-        );
-        // Re-serializing upgrades to the columnar shape, losslessly.
-        let rewritten = prestige_to_json(&loaded).unwrap();
-        assert!(rewritten.contains("\"columns\""));
-        let again = prestige_from_json(&rewritten).unwrap();
-        assert_eq!(again.scores(TermId(3)), loaded.scores(TermId(3)));
-    }
-
-    #[test]
     fn v2_column_length_mismatch_is_corrupt() {
         let json = r#"{"function":"text","columns":[[3,[1,5],[0.25]]]}"#;
         assert!(matches!(
@@ -544,9 +489,14 @@ mod tests {
             Err(PersistError::Json(_))
         ));
         assert!(matches!(
-            prestige_from_json(r#"{"function":"voodoo","scores":[]}"#),
+            prestige_from_json(r#"{"function":"voodoo","columns":[]}"#),
             Err(PersistError::UnknownTag(_))
         ));
+        // A value of the wrong type inside the columns is reported as
+        // such, not as a missing field of some other shape.
+        let err = prestige_from_json(r#"{"function":"text","columns":[[3,[1],"x"]]}"#).unwrap_err();
+        assert!(matches!(err, PersistError::Json(_)), "{err}");
+        assert!(!err.to_string().contains("scores"), "{err}");
         assert!(matches!(
             context_sets_from_json(
                 r#"{"kind":"voodoo","members":[],"representatives":[],"inherited_from":[]}"#
@@ -588,20 +538,28 @@ mod tests {
 
     #[test]
     fn loading_a_future_version_is_a_clean_error() {
-        let dir = scratch_dir("version");
-        std::fs::write(dir.join("snapshot.json"), header_json(SNAPSHOT_MAGIC, 99)).unwrap();
-        let err = load_snapshot(&dir, EngineConfig::default()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PersistError::VersionMismatch {
-                    found: 99,
-                    expected: SNAPSHOT_VERSION
-                }
-            ),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+        // Version 1 (pair-shaped prestige files) is as unreadable as a
+        // version from the future.
+        for version in [1, 99] {
+            let dir = scratch_dir("version");
+            std::fs::write(
+                dir.join("snapshot.json"),
+                header_json(SNAPSHOT_MAGIC, version),
+            )
+            .unwrap();
+            let err = load_snapshot(&dir, EngineConfig::default()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PersistError::VersionMismatch {
+                        found,
+                        expected: SNAPSHOT_VERSION
+                    } if found == version
+                ),
+                "{err}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -611,7 +569,11 @@ mod tests {
         let err = load_snapshot(&dir, EngineConfig::default()).unwrap_err();
         assert!(matches!(err, PersistError::Io { .. }), "{err}");
         // A valid header over garbage payloads → Json/Corrupt, not a panic.
-        std::fs::write(dir.join("snapshot.json"), header_json(SNAPSHOT_MAGIC, 1)).unwrap();
+        std::fs::write(
+            dir.join("snapshot.json"),
+            header_json(SNAPSHOT_MAGIC, SNAPSHOT_VERSION),
+        )
+        .unwrap();
         std::fs::write(dir.join("ontology.obo"), "[Term]\nthis is not obo").unwrap();
         let err = load_snapshot(&dir, EngineConfig::default()).unwrap_err();
         assert!(

@@ -6,14 +6,10 @@ pub mod citation_weighted;
 pub mod pattern;
 pub mod text;
 
-use crate::assign::ContextPatterns;
-use crate::config::EngineConfig;
 use crate::context::{ContextId, ContextPaperSets};
-use crate::indexes::CorpusIndex;
-use corpus::{Corpus, PaperId};
+use corpus::PaperId;
 use ontology::Ontology;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Which prestige score function produced a score set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -231,57 +227,6 @@ impl PrestigeScores {
         }
         *self = Self::new(by_context, self.function);
     }
-}
-
-/// Task 2 of the paradigm, shared by [`crate::ContextSearchEngine`] and
-/// [`crate::Searcher`]: compute one prestige table with explicit
-/// options. `patterns` is only invoked when `function` is
-/// [`ScoreFunction::Pattern`] (the engine builds lazily; the searcher
-/// reads the snapshot's mined patterns).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_prestige(
-    ontology: &Ontology,
-    corpus: &Corpus,
-    index: &CorpusIndex,
-    config: &EngineConfig,
-    sets: &ContextPaperSets,
-    function: ScoreFunction,
-    simplified: bool,
-    propagate: bool,
-    patterns: impl FnOnce() -> Arc<ContextPatterns>,
-) -> PrestigeScores {
-    let _span = obs::span("engine.prestige");
-    if obs::trace_enabled() {
-        obs::trace_instant(
-            "prestige.compute",
-            vec![
-                ("function".to_string(), format!("{function:?}").into()),
-                ("n_contexts".to_string(), sets.n_contexts().into()),
-                ("simplified".to_string(), simplified.into()),
-                ("propagate".to_string(), propagate.into()),
-            ],
-        );
-    }
-    let mut scores = match function {
-        ScoreFunction::Citation => {
-            let _s = obs::span("prestige.citation");
-            citation::citation_prestige(sets, &index.graph, config)
-        }
-        ScoreFunction::Text => {
-            let _s = obs::span("prestige.text");
-            text::text_prestige(sets, corpus, index, config)
-        }
-        ScoreFunction::Pattern => {
-            let patterns = patterns();
-            let _s = obs::span("prestige.pattern");
-            pattern::pattern_prestige(ontology, sets, corpus, index, &patterns, config, simplified)
-        }
-    };
-    if propagate {
-        let _s = obs::span("prestige.propagate");
-        scores.propagate_hierarchy_max(ontology, sets);
-    }
-    scores
 }
 
 /// Max-normalize a score list so the best paper gets 1.0 (no-op when

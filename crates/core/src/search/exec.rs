@@ -1,19 +1,15 @@
-//! The shared online query path.
+//! The online query path.
 //!
 //! [`QueryParts`] borrows the four immutable pieces every query needs —
-//! ontology, corpus, config, index — and implements context selection,
-//! relevancy scoring, and the auxiliary lookups (snippets, baseline
-//! keyword search, AC-answer sets, more-like-this). Both front-ends
-//! delegate here: [`ContextSearchEngine`](super::engine::ContextSearchEngine)
-//! (owns the pieces directly) and [`Searcher`](super::serve::Searcher)
-//! (borrows them from an immutable [`crate::EngineSnapshot`]). Nothing
-//! on this path takes a lock or mutates shared state, so any number of
-//! threads can execute it concurrently over the same borrowed parts;
-//! per-query working memory comes from the thread-local
+//! ontology, corpus, config, index — from an [`crate::EngineSnapshot`]
+//! and implements context selection and relevancy scoring for
+//! [`Searcher`](super::serve::Searcher). Nothing on this path takes a
+//! lock or mutates shared state, so any number of threads can execute
+//! it concurrently over the same borrowed parts; per-query working
+//! memory comes from the thread-local
 //! [`crate::search::scratch::QueryScratch`] pool, so the steady-state
 //! path is also allocation-light.
 
-use crate::ac_answer::ac_answer_set;
 use crate::config::EngineConfig;
 use crate::context::{ContextId, ContextPaperSets};
 use crate::indexes::CorpusIndex;
@@ -22,7 +18,6 @@ use crate::search::scratch::with_scratch;
 use crate::search::select::select_contexts;
 use corpus::{Corpus, PaperId};
 use ontology::Ontology;
-use std::collections::HashSet;
 
 /// One ranked context-based search result.
 #[derive(Debug, Clone, Copy)]
@@ -225,51 +220,6 @@ impl QueryParts<'_> {
                 ],
             );
         }
-    }
-
-    /// The PubMed-style keyword-search baseline over the whole corpus.
-    pub fn keyword_search(&self, query: &str, min_score: f64) -> Vec<(PaperId, f64)> {
-        let qvec = self.index.query_vector(self.corpus, query);
-        self.index.keyword_search(&qvec, min_score)
-    }
-
-    /// Display snippet for a hit: the abstract window best covering the
-    /// query (falls back to the title when nothing matches there).
-    pub fn snippet(&self, paper: PaperId, query: &str) -> String {
-        let terms = self.corpus.analyze_known(query);
-        let p = self.corpus.paper(paper);
-        textproc::snippet::best_snippet(
-            &p.abstract_text,
-            &terms,
-            self.corpus.vocab(),
-            &self.index.model,
-            &textproc::snippet::SnippetConfig::default(),
-        )
-        .unwrap_or_else(|| p.title.clone())
-    }
-
-    /// "More like this": papers related to `source` through shared
-    /// contexts, ranked by the §3.2 combined similarity.
-    pub fn more_like_this(
-        &self,
-        sets: &ContextPaperSets,
-        source: PaperId,
-        limit: usize,
-    ) -> Vec<crate::search::related::RelatedPaper> {
-        crate::search::related::more_like_this(
-            self.corpus,
-            self.index,
-            self.config,
-            sets,
-            source,
-            limit,
-        )
-    }
-
-    /// The §2 AC-answer ground-truth set for a query.
-    pub fn ac_answer_set(&self, query: &str) -> HashSet<PaperId> {
-        let qvec = self.index.query_vector(self.corpus, query);
-        ac_answer_set(self.index, &self.config.ac, &qvec)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::context::ContextId;
 use crate::indexes::CorpusIndex;
-use crate::search::engine::SearchResult;
+use crate::search::SearchResult;
 use corpus::{Corpus, PaperId};
 use ontology::Ontology;
 
@@ -104,12 +104,14 @@ pub fn explain_hit(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::search::engine::ContextSearchEngine;
-    use crate::ScoreFunction;
+    use crate::snapshot::{EngineSnapshot, PrepareOptions};
+    use crate::{ContextSetKind, ScoreFunction};
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
+    use std::sync::Arc;
 
-    fn engine() -> ContextSearchEngine {
+    /// A snapshot holding only the (pattern set, `function`) table.
+    fn snapshot(function: ScoreFunction) -> Arc<EngineSnapshot> {
         let onto = generate_ontology(&GeneratorConfig {
             n_terms: 80,
             seed: 3,
@@ -125,21 +127,34 @@ mod tests {
                 ..Default::default()
             },
         );
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        EngineSnapshot::prepare_with(
+            onto,
+            corp,
+            EngineConfig::default(),
+            PrepareOptions {
+                pairs: vec![(ContextSetKind::PatternBased, function)],
+            },
+        )
     }
 
     #[test]
     fn explanation_reconstructs_the_hit() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Pattern);
+        let e = snapshot(ScoreFunction::Pattern);
         let term = e
             .ontology()
             .term_ids()
             .find(|&t| e.ontology().level(t) == 3)
             .unwrap();
         let query = e.ontology().term(term).name.clone();
-        let hits = e.search(&query, &sets, &prestige, 3);
+        let hits = e
+            .searcher()
+            .query(
+                &query,
+                ContextSetKind::PatternBased,
+                ScoreFunction::Pattern,
+                3,
+            )
+            .unwrap();
         assert!(!hits.is_empty());
         for hit in &hits {
             let ex = explain_hit(e.ontology(), e.corpus(), e.index(), &query, hit);
@@ -166,16 +181,22 @@ mod tests {
 
     #[test]
     fn unmatched_terms_are_absent() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Citation);
+        let e = snapshot(ScoreFunction::Citation);
         let term = e
             .ontology()
             .term_ids()
             .find(|&t| e.ontology().level(t) == 3)
             .unwrap();
         let query = e.ontology().term(term).name.clone();
-        let hits = e.search(&query, &sets, &prestige, 1);
+        let hits = e
+            .searcher()
+            .query(
+                &query,
+                ContextSetKind::PatternBased,
+                ScoreFunction::Citation,
+                1,
+            )
+            .unwrap();
         if let Some(hit) = hits.first() {
             let ex = explain_hit(e.ontology(), e.corpus(), e.index(), &query, hit);
             for t in &ex.matched_terms {

@@ -131,11 +131,12 @@ pub fn gopubmed_search(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::search::engine::ContextSearchEngine;
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
 
-    fn engine() -> ContextSearchEngine {
+    /// The ontology, corpus and index the baseline reads; no context
+    /// sets or prestige tables.
+    fn testbed() -> (Ontology, Corpus, CorpusIndex) {
         let onto = generate_ontology(&GeneratorConfig {
             n_terms: 80,
             seed: 3,
@@ -151,19 +152,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        let index = CorpusIndex::build(&onto, &corp, &EngineConfig::default().pagerank);
+        (onto, corp, index)
     }
 
     #[test]
     fn categorization_groups_hits_under_terms() {
-        let e = engine();
-        let term = e
-            .ontology()
-            .term_ids()
-            .find(|&t| e.ontology().level(t) == 2)
-            .unwrap();
-        let query = e.ontology().term(term).name.clone();
-        let r = gopubmed_search(e.ontology(), e.corpus(), e.index(), &query, 0.05);
+        let (onto, corp, index) = testbed();
+        let term = onto.term_ids().find(|&t| onto.level(t) == 2).unwrap();
+        let query = onto.term(term).name.clone();
+        let r = gopubmed_search(&onto, &corp, &index, &query, 0.05);
         assert!(r.n_hits > 0);
         assert!(!r.categories.is_empty(), "some category should match");
         // Categories are sorted by size.
@@ -174,19 +172,14 @@ mod tests {
 
     #[test]
     fn categorized_papers_contain_all_term_words() {
-        let e = engine();
-        let query = e.corpus().paper(corpus::PaperId(3)).title.clone();
-        let r = gopubmed_search(e.ontology(), e.corpus(), e.index(), &query, 0.05);
+        let (onto, corp, index) = testbed();
+        let query = corp.paper(corpus::PaperId(3)).title.clone();
+        let r = gopubmed_search(&onto, &corp, &index, &query, 0.05);
         for (term, papers) in r.categories.iter().take(5) {
-            let name = &e.index().term_name_tokens[term.index()];
+            let name = &index.term_name_tokens[term.index()];
             for &p in papers.iter().take(5) {
-                let words: HashSet<textproc::TermId> = e
-                    .corpus()
-                    .analyzed(p)
-                    .abstract_text
-                    .iter()
-                    .copied()
-                    .collect();
+                let words: HashSet<textproc::TermId> =
+                    corp.analyzed(p).abstract_text.iter().copied().collect();
                 assert!(
                     name.iter().all(|w| words.contains(w)),
                     "paper {p:?} lacks words of its category"
@@ -200,14 +193,10 @@ mod tests {
         // The paper's point: categorization by abstract words misses
         // papers (their 78% figure). Our abstracts usually carry topic
         // phrases, but not always.
-        let e = engine();
-        let term = e
-            .ontology()
-            .term_ids()
-            .find(|&t| e.ontology().level(t) == 2)
-            .unwrap();
-        let query = e.ontology().term(term).name.clone();
-        let r = gopubmed_search(e.ontology(), e.corpus(), e.index(), &query, 0.0);
+        let (onto, corp, index) = testbed();
+        let term = onto.term_ids().find(|&t| onto.level(t) == 2).unwrap();
+        let query = onto.term(term).name.clone();
+        let r = gopubmed_search(&onto, &corp, &index, &query, 0.0);
         let cov = r.coverage();
         assert!((0.0..=1.0).contains(&cov));
         assert!(r.n_hits >= r.uncategorized.len());
@@ -215,20 +204,16 @@ mod tests {
 
     #[test]
     fn most_specific_drops_redundant_ancestors() {
-        let e = engine();
-        let term = e
-            .ontology()
-            .term_ids()
-            .find(|&t| e.ontology().level(t) == 3)
-            .unwrap();
-        let query = e.ontology().term(term).name.clone();
-        let r = gopubmed_search(e.ontology(), e.corpus(), e.index(), &query, 0.05);
-        let specific = r.most_specific(e.ontology());
+        let (onto, corp, index) = testbed();
+        let term = onto.term_ids().find(|&t| onto.level(t) == 3).unwrap();
+        let query = onto.term(term).name.clone();
+        let r = gopubmed_search(&onto, &corp, &index, &query, 0.05);
+        let specific = r.most_specific(&onto);
         // For every (term, paper) pair kept, no kept descendant of the
         // term may also hold that paper.
         for (t, papers) in &specific {
             for (t2, papers2) in &specific {
-                if t2 != t && e.ontology().is_descendant(*t2, *t) {
+                if t2 != t && onto.is_descendant(*t2, *t) {
                     for p in papers {
                         assert!(
                             !papers2.contains(p),
@@ -242,8 +227,8 @@ mod tests {
 
     #[test]
     fn empty_query_yields_empty_result() {
-        let e = engine();
-        let r = gopubmed_search(e.ontology(), e.corpus(), e.index(), "zzz", 0.1);
+        let (onto, corp, index) = testbed();
+        let r = gopubmed_search(&onto, &corp, &index, "zzz", 0.1);
         assert_eq!(r.n_hits, 0);
         assert_eq!(r.coverage(), 0.0);
     }

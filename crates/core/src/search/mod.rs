@@ -1,7 +1,6 @@
 //! Query-time machinery: context selection, relevancy scoring, and the
-//! end-to-end engine.
+//! lock-free serving handle.
 
-pub mod engine;
 pub(crate) mod exec;
 pub mod explain;
 pub mod gopubmed;
@@ -12,8 +11,7 @@ pub mod select;
 pub mod serve;
 pub mod shadow;
 
-pub use engine::{ContextSearchEngine, SearchResult};
-pub use exec::QueryStats;
+pub use exec::{QueryStats, SearchResult};
 pub use relevancy::relevancy;
 pub use select::select_contexts;
 pub use serve::{Searcher, ServeError};

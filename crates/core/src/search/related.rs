@@ -75,11 +75,19 @@ pub fn more_like_this(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::engine::ContextSearchEngine;
+    use crate::assign::{build_pattern_sets, patterns_by_context};
     use corpus::{generate_corpus, CorpusConfig};
-    use ontology::{generate_ontology, GeneratorConfig};
+    use ontology::{generate_ontology, GeneratorConfig, Ontology};
 
-    fn engine() -> ContextSearchEngine {
+    /// The pattern-based sets and everything the similarity reads; no
+    /// prestige tables.
+    fn testbed() -> (
+        Ontology,
+        Corpus,
+        EngineConfig,
+        CorpusIndex,
+        ContextPaperSets,
+    ) {
         let onto = generate_ontology(&GeneratorConfig {
             n_terms: 80,
             seed: 3,
@@ -95,15 +103,18 @@ mod tests {
                 ..Default::default()
             },
         );
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        let config = EngineConfig::default();
+        let index = CorpusIndex::build(&onto, &corp, &config.pagerank);
+        let patterns = patterns_by_context(&onto, &corp, &index, &config);
+        let sets = build_pattern_sets(&onto, &corp, &index, &patterns, &config);
+        (onto, corp, config, index, sets)
     }
 
     #[test]
     fn related_papers_share_a_context_and_sort_by_similarity() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
+        let (_, corp, config, index, sets) = testbed();
         let source = PaperId(10);
-        let related = more_like_this(e.corpus(), e.index(), e.config(), &sets, source, 10);
+        let related = more_like_this(&corp, &index, &config, &sets, source, 10);
         assert!(!related.is_empty(), "paper 10 should have relatives");
         for r in &related {
             assert_ne!(r.paper, source);
@@ -118,21 +129,20 @@ mod tests {
 
     #[test]
     fn top_relative_tends_to_share_a_topic() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
+        let (onto, corp, config, index, sets) = testbed();
         let mut topical_hits = 0;
         let mut checked = 0;
         for source in (0..60).map(PaperId) {
-            let related = more_like_this(e.corpus(), e.index(), e.config(), &sets, source, 1);
+            let related = more_like_this(&corp, &index, &config, &sets, source, 1);
             let Some(top) = related.first() else { continue };
             checked += 1;
-            let src_topics = &e.corpus().paper(source).true_topics;
-            let rel_topics = &e.corpus().paper(top.paper).true_topics;
+            let src_topics = &corp.paper(source).true_topics;
+            let rel_topics = &corp.paper(top.paper).true_topics;
             let shares = src_topics.iter().any(|t| rel_topics.contains(t));
             let related_branch = src_topics.iter().any(|&a| {
                 rel_topics
                     .iter()
-                    .any(|&b| e.ontology().is_descendant(a, b) || e.ontology().is_descendant(b, a))
+                    .any(|&b| onto.is_descendant(a, b) || onto.is_descendant(b, a))
             });
             if shares || related_branch {
                 topical_hits += 1;
@@ -147,13 +157,12 @@ mod tests {
 
     #[test]
     fn limit_and_missing_source() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
-        let related = more_like_this(e.corpus(), e.index(), e.config(), &sets, PaperId(5), 3);
+        let (_, corp, config, index, sets) = testbed();
+        let related = more_like_this(&corp, &index, &config, &sets, PaperId(5), 3);
         assert!(related.len() <= 3);
         // A paper id outside every context (fabricated empty sets).
         let empty = ContextPaperSets::new(Default::default(), sets.kind);
-        let none = more_like_this(e.corpus(), e.index(), e.config(), &empty, PaperId(5), 3);
+        let none = more_like_this(&corp, &index, &config, &empty, PaperId(5), 3);
         assert!(none.is_empty());
     }
 }

@@ -6,14 +6,15 @@
 //! takes zero locks — no `RwLock`, no lazy initialization, no interior
 //! mutability of any kind. Results are deterministic and identical
 //! across threads (asserted by the `snapshot_serving` integration
-//! test).
+//! test). Offline hooks that no endpoint serves (the keyword baseline,
+//! AC-answer sets, snippets, prestige recomputation) live on
+//! [`EngineSnapshot`] itself.
 
 use crate::context::{ContextId, ContextPaperSets, ContextSetKind};
 use crate::prestige::{PrestigeScores, ScoreFunction};
 use crate::search::exec::{QueryParts, QueryStats, SearchResult};
 use crate::snapshot::EngineSnapshot;
-use corpus::PaperId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A serve-time problem: the snapshot lacks a requested table.
@@ -179,8 +180,8 @@ impl Searcher {
             .search_with_stats(query, self.sets(kind), prestige, limit))
     }
 
-    /// Tasks 4 + 5 with explicit tables (the engine-compatible form;
-    /// the experiment harness passes ablation variants through here).
+    /// Tasks 4 + 5 with explicit tables (the experiment harness passes
+    /// ablation variants through here).
     pub fn search(
         &self,
         query: &str,
@@ -206,88 +207,12 @@ impl Searcher {
     pub fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
         self.parts().select_contexts(query, sets)
     }
-
-    /// The PubMed-style keyword-search baseline over the whole corpus.
-    pub fn keyword_search(&self, query: &str, min_score: f64) -> Vec<(PaperId, f64)> {
-        self.parts().keyword_search(query, min_score)
-    }
-
-    /// Display snippet for a hit.
-    pub fn snippet(&self, paper: PaperId, query: &str) -> String {
-        self.parts().snippet(paper, query)
-    }
-
-    /// "More like this" over shared contexts.
-    pub fn more_like_this(
-        &self,
-        sets: &ContextPaperSets,
-        source: PaperId,
-        limit: usize,
-    ) -> Vec<crate::search::related::RelatedPaper> {
-        self.parts().more_like_this(sets, source, limit)
-    }
-
-    /// The §2 AC-answer ground-truth set for a query.
-    pub fn ac_answer_set(&self, query: &str) -> HashSet<PaperId> {
-        self.parts().ac_answer_set(query)
-    }
-
-    /// Recompute a prestige table with explicit options (ablation hook;
-    /// not a serve-path operation — it does offline-phase work).
-    ///
-    /// # Panics
-    /// For [`ScoreFunction::Pattern`] on a warm-loaded snapshot: mined
-    /// patterns are not persisted, so pattern prestige cannot be
-    /// recomputed from disk.
-    pub fn prestige_with_options(
-        &self,
-        sets: &ContextPaperSets,
-        function: ScoreFunction,
-        simplified: bool,
-        propagate: bool,
-    ) -> PrestigeScores {
-        crate::prestige::compute_prestige(
-            self.ontology(),
-            self.corpus(),
-            self.index(),
-            self.config(),
-            sets,
-            function,
-            simplified,
-            propagate,
-            || {
-                // lint:allow(no-panic-serving, ablation-only hook: pattern prestige is never requested on warm-loaded snapshots and the message documents the contract)
-                Arc::clone(self.snapshot.patterns().expect(
-                    "pattern prestige needs mined patterns; \
-                     warm-loaded snapshots do not carry them",
-                ))
-            },
-        )
-    }
-
-    /// The §7 weighted cross-context citation function.
-    pub fn weighted_citation_prestige(
-        &self,
-        sets: &ContextPaperSets,
-        weights: &crate::prestige::citation_weighted::CrossContextWeights,
-    ) -> PrestigeScores {
-        let mut scores = crate::prestige::citation_weighted::weighted_citation_prestige(
-            self.ontology(),
-            sets,
-            &self.index().graph,
-            self.config(),
-            weights,
-        );
-        scores.propagate_hierarchy_max(self.ontology(), sets);
-        scores
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::search::engine::ContextSearchEngine;
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
 
@@ -308,43 +233,6 @@ mod tests {
             },
         );
         (onto, corp)
-    }
-
-    #[test]
-    fn searcher_matches_the_engine_exactly() {
-        let (onto, corp) = testbed();
-        let snap = EngineSnapshot::prepare(onto.clone(), corp.clone(), EngineConfig::default());
-        let searcher = snap.searcher();
-        let engine = ContextSearchEngine::build(onto, corp, EngineConfig::default());
-        let sets = engine.pattern_context_sets();
-        let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
-        for query in ["biological process", "binding", "molecular function"] {
-            let via_engine = engine.search(query, &sets, &prestige, 0);
-            let via_searcher = searcher
-                .query(
-                    query,
-                    ContextSetKind::PatternBased,
-                    ScoreFunction::Pattern,
-                    0,
-                )
-                .unwrap();
-            assert_eq!(via_engine.len(), via_searcher.len(), "query {query:?}");
-            for (a, b) in via_engine.iter().zip(&via_searcher) {
-                assert_eq!(a.paper, b.paper);
-                assert_eq!(a.relevancy, b.relevancy);
-                assert_eq!(a.matching, b.matching);
-                assert_eq!(a.prestige, b.prestige);
-                assert_eq!(a.context, b.context);
-            }
-        }
-        // The baseline and ground-truth hooks agree too.
-        for query in ["biological process", "binding"] {
-            assert_eq!(
-                engine.keyword_search(query, 0.1),
-                searcher.keyword_search(query, 0.1)
-            );
-            assert_eq!(engine.ac_answer_set(query), searcher.ac_answer_set(query));
-        }
     }
 
     #[test]
@@ -391,5 +279,94 @@ mod tests {
         let a = snap.searcher();
         let b = a.clone();
         assert!(Arc::ptr_eq(a.snapshot(), b.snapshot()));
+    }
+
+    /// A searcher over the (pattern, pattern) and (pattern, citation)
+    /// tables, and the name of a mid-level term, which maps to that term.
+    fn pattern_searcher() -> (Searcher, String, ontology::TermId) {
+        let (onto, corp) = testbed();
+        let snap = EngineSnapshot::prepare_with(
+            onto,
+            corp,
+            EngineConfig::default(),
+            crate::snapshot::PrepareOptions {
+                pairs: vec![
+                    (ContextSetKind::PatternBased, ScoreFunction::Pattern),
+                    (ContextSetKind::PatternBased, ScoreFunction::Citation),
+                ],
+            },
+        );
+        let onto = snap.ontology();
+        let target = onto.max_level().clamp(3, 4);
+        let term = onto
+            .term_ids()
+            .find(|&t| onto.level(t) == target)
+            .expect("mid-level term");
+        let name = onto.term(term).name.clone();
+        (snap.searcher(), name, term)
+    }
+
+    fn pattern_query(s: &Searcher, query: &str, limit: usize) -> Vec<SearchResult> {
+        s.query(
+            query,
+            ContextSetKind::PatternBased,
+            ScoreFunction::Pattern,
+            limit,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn end_to_end_search_returns_ranked_results() {
+        let (s, q, _) = pattern_searcher();
+        let hits = pattern_query(&s, &q, 20);
+        assert!(!hits.is_empty(), "query {q:?} found nothing");
+        for w in hits.windows(2) {
+            assert!(w[0].relevancy >= w[1].relevancy);
+        }
+        let sets = s.sets(ContextSetKind::PatternBased);
+        for h in &hits {
+            assert!((0.0..=1.0 + 1e-9).contains(&h.relevancy));
+            assert!(sets.is_member(h.context, h.paper));
+        }
+    }
+
+    #[test]
+    fn search_results_are_topically_relevant() {
+        let (s, q, term) = pattern_searcher();
+        let hits = pattern_query(&s, &q, 10);
+        // At least one top hit's true topics relate to the query term
+        // (itself, an ancestor, or a descendant).
+        let onto = s.ontology();
+        let related =
+            hits.iter().any(|h| {
+                s.corpus().paper(h.paper).true_topics.iter().any(|&t| {
+                    t == term || onto.is_descendant(t, term) || onto.is_descendant(term, t)
+                })
+            });
+        assert!(related, "no topically related paper in top hits for {q:?}");
+    }
+
+    #[test]
+    fn limit_zero_means_unlimited() {
+        let (s, q, _) = pattern_searcher();
+        let all = pattern_query(&s, &q, 0);
+        let limited = pattern_query(&s, &q, 3);
+        assert!(limited.len() <= 3);
+        assert!(all.len() >= limited.len());
+    }
+
+    #[test]
+    fn nonsense_query_returns_empty() {
+        let (s, _, _) = pattern_searcher();
+        let hits = s
+            .query(
+                "zzz qqq xxx",
+                ContextSetKind::PatternBased,
+                ScoreFunction::Citation,
+                10,
+            )
+            .unwrap();
+        assert!(hits.is_empty());
     }
 }

@@ -17,19 +17,22 @@
 //! `prepare.total` umbrella span, making the schedule visible in
 //! metrics snapshots and traces.
 
+use crate::ac_answer::ac_answer_set;
 use crate::assign::{build_pattern_sets, build_text_sets, patterns_by_context, ContextPatterns};
 use crate::config::EngineConfig;
 use crate::context::{ContextPaperSets, ContextSetKind};
 use crate::indexes::CorpusIndex;
 use crate::plan::{Plan, Slot};
+use crate::prestige::citation_weighted::{weighted_citation_prestige, CrossContextWeights};
 use crate::prestige::{
     citation::citation_prestige, pattern::pattern_prestige, text::text_prestige, PrestigeScores,
     ScoreFunction,
 };
+use crate::search::related::{more_like_this, RelatedPaper};
 use crate::search::serve::Searcher;
-use corpus::Corpus;
+use corpus::{Corpus, PaperId};
 use ontology::Ontology;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// A (paper set, score function) prestige pair.
@@ -98,6 +101,11 @@ fn stage_names(pair: PrestigePair) -> (&'static str, &'static str) {
 /// snapshot loaded from disk ([`crate::persist::load_snapshot`]) has
 /// `patterns() == None` — mined patterns are a build intermediate the
 /// query path never touches.
+///
+/// Queries go through [`Searcher`]; the snapshot's own methods past
+/// [`searcher`](Self::searcher) are the offline hooks no endpoint
+/// serves: the keyword baseline, AC-answer sets, snippets, "more like
+/// this" and prestige recomputation for ablations.
 pub struct EngineSnapshot {
     ontology: Ontology,
     corpus: Corpus,
@@ -378,13 +386,107 @@ impl EngineSnapshot {
     pub fn searcher(self: &Arc<Self>) -> Searcher {
         Searcher::new(Arc::clone(self))
     }
+
+    /// The PubMed-style keyword-search baseline over the whole corpus.
+    pub fn keyword_search(&self, query: &str, min_score: f64) -> Vec<(PaperId, f64)> {
+        let qvec = self.index.query_vector(&self.corpus, query);
+        self.index.keyword_search(&qvec, min_score)
+    }
+
+    /// The §2 AC-answer ground-truth set for a query.
+    pub fn ac_answer_set(&self, query: &str) -> HashSet<PaperId> {
+        let qvec = self.index.query_vector(&self.corpus, query);
+        ac_answer_set(&self.index, &self.config.ac, &qvec)
+    }
+
+    /// Display snippet for a hit: the abstract window best covering the
+    /// query (falls back to the title when nothing matches there).
+    pub fn snippet(&self, paper: PaperId, query: &str) -> String {
+        let terms = self.corpus.analyze_known(query);
+        let p = self.corpus.paper(paper);
+        textproc::snippet::best_snippet(
+            &p.abstract_text,
+            &terms,
+            self.corpus.vocab(),
+            &self.index.model,
+            &textproc::snippet::SnippetConfig::default(),
+        )
+        .unwrap_or_else(|| p.title.clone())
+    }
+
+    /// "More like this": papers related to `source` through shared
+    /// contexts, ranked by the §3.2 combined similarity.
+    pub fn more_like_this(
+        &self,
+        sets: &ContextPaperSets,
+        source: PaperId,
+        limit: usize,
+    ) -> Vec<RelatedPaper> {
+        more_like_this(&self.corpus, &self.index, &self.config, sets, source, limit)
+    }
+
+    /// Recompute a prestige table with explicit options (the ablation
+    /// hook): `simplified` picks the §4 middle-only pattern matching
+    /// (ignored for other functions); `propagate` toggles the hierarchy
+    /// max rule.
+    ///
+    /// # Panics
+    /// For [`ScoreFunction::Pattern`] on a warm-loaded snapshot: mined
+    /// patterns are not persisted, so pattern prestige cannot be
+    /// recomputed from disk.
+    pub fn prestige_with_options(
+        &self,
+        sets: &ContextPaperSets,
+        function: ScoreFunction,
+        simplified: bool,
+        propagate: bool,
+    ) -> PrestigeScores {
+        let mut scores = match function {
+            ScoreFunction::Citation => citation_prestige(sets, &self.index.graph, &self.config),
+            ScoreFunction::Text => text_prestige(sets, &self.corpus, &self.index, &self.config),
+            ScoreFunction::Pattern => pattern_prestige(
+                &self.ontology,
+                sets,
+                &self.corpus,
+                &self.index,
+                self.patterns.as_ref().expect(
+                    "pattern prestige needs mined patterns; \
+                     warm-loaded snapshots do not carry them",
+                ),
+                &self.config,
+                simplified,
+            ),
+        };
+        if propagate {
+            scores.propagate_hierarchy_max(&self.ontology, sets);
+        }
+        scores
+    }
+
+    /// The paper's §7 future-work score function: citation prestige
+    /// with weighted cross-context relationships (see
+    /// [`crate::prestige::citation_weighted`]), hierarchy-propagated.
+    pub fn weighted_citation_prestige(
+        &self,
+        sets: &ContextPaperSets,
+        weights: &CrossContextWeights,
+    ) -> PrestigeScores {
+        let mut scores = weighted_citation_prestige(
+            &self.ontology,
+            sets,
+            &self.index.graph,
+            &self.config,
+            weights,
+        );
+        scores.propagate_hierarchy_max(&self.ontology, sets);
+        scores
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::persist::{context_sets_to_json, prestige_to_json};
-    use crate::search::engine::ContextSearchEngine;
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
 
@@ -480,14 +582,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_the_legacy_engine() {
-        // The refactor must not change any prepared numbers: the plan
-        // path and the engine's piecemeal path agree exactly.
+    fn plan_matches_the_stage_functions_called_directly() {
+        // The plan must not change any prepared number: its sets equal
+        // the stage functions called one by one, and its tables equal
+        // `prestige_with_options` with the defaults it prepares under.
         let snap = prepare_with_threads(1);
         let (onto, corp) = testbed();
-        let engine = ContextSearchEngine::build(onto, corp, EngineConfig::default());
-        let text_sets = engine.text_context_sets();
-        let pattern_sets = engine.pattern_context_sets();
+        let config = EngineConfig::default();
+        let index = CorpusIndex::build(&onto, &corp, &config.pagerank);
+        let text_sets = build_text_sets(&onto, &corp, &index, &config);
+        let patterns = patterns_by_context(&onto, &corp, &index, &config);
+        let pattern_sets = build_pattern_sets(&onto, &corp, &index, &patterns, &config);
         assert_eq!(
             context_sets_to_json(snap.sets(ContextSetKind::TextBased)).unwrap(),
             context_sets_to_json(&text_sets).unwrap()
@@ -496,52 +601,38 @@ mod tests {
             context_sets_to_json(snap.sets(ContextSetKind::PatternBased)).unwrap(),
             context_sets_to_json(&pattern_sets).unwrap()
         );
-        let cases: [(ContextSetKind, ScoreFunction, PrestigeScores); 4] = [
-            (
-                ContextSetKind::TextBased,
-                ScoreFunction::Text,
-                engine.prestige(&text_sets, ScoreFunction::Text),
-            ),
+        // The Fig 5.3 special pair scores text prestige over the pattern
+        // set with the text set's representatives injected.
+        let mut view = pattern_sets.clone();
+        view.representatives = text_sets.representatives.clone();
+        let cases = [
+            (ContextSetKind::TextBased, ScoreFunction::Text, &text_sets),
             (
                 ContextSetKind::TextBased,
                 ScoreFunction::Citation,
-                engine.prestige(&text_sets, ScoreFunction::Citation),
+                &text_sets,
             ),
             (
                 ContextSetKind::PatternBased,
                 ScoreFunction::Pattern,
-                engine.prestige(&pattern_sets, ScoreFunction::Pattern),
+                &pattern_sets,
             ),
             (
                 ContextSetKind::PatternBased,
                 ScoreFunction::Citation,
-                engine.prestige(&pattern_sets, ScoreFunction::Citation),
+                &pattern_sets,
             ),
+            (ContextSetKind::PatternBased, ScoreFunction::Text, &view),
         ];
-        for (k, f, expected) in &cases {
+        for (k, f, sets) in cases {
             assert_eq!(
-                prestige_to_json(snap.prestige(*k, *f).unwrap()).unwrap(),
-                prestige_to_json(expected).unwrap(),
-                "{}/{} differs from the engine path",
+                prestige_to_json(snap.prestige(k, f).unwrap()).unwrap(),
+                prestige_to_json(&snap.prestige_with_options(sets, f, true, true)).unwrap(),
+                "{}/{} differs from the direct call",
                 k.name(),
                 f.name()
             );
         }
-        // The Fig 5.3 special pair: text scores on the pattern set with
-        // injected representatives.
-        let expected = {
-            let mut view = pattern_sets.clone();
-            view.representatives = text_sets.representatives.clone();
-            engine.prestige(&view, ScoreFunction::Text)
-        };
-        assert_eq!(
-            prestige_to_json(
-                snap.prestige(ContextSetKind::PatternBased, ScoreFunction::Text)
-                    .unwrap()
-            )
-            .unwrap(),
-            prestige_to_json(&expected).unwrap()
-        );
     }
 
     #[test]
@@ -565,5 +656,104 @@ mod tests {
             "no pattern pair requested → no mining"
         );
         assert_eq!(snap.sets(ContextSetKind::PatternBased).n_contexts(), 0);
+    }
+
+    /// A snapshot of the engine testbed holding only `pairs`.
+    fn prepare_pairs(pairs: &[PrestigePair]) -> Arc<EngineSnapshot> {
+        let (onto, corp) = testbed();
+        EngineSnapshot::prepare_with(
+            onto,
+            corp,
+            EngineConfig::default(),
+            PrepareOptions {
+                pairs: pairs.to_vec(),
+            },
+        )
+    }
+
+    /// The name of a mid-level term; it maps to that term.
+    fn a_query(snap: &EngineSnapshot) -> String {
+        let onto = snap.ontology();
+        let target = onto.max_level().clamp(3, 4);
+        let term = onto
+            .term_ids()
+            .find(|&t| onto.level(t) == target)
+            .expect("mid-level term");
+        onto.term(term).name.clone()
+    }
+
+    #[test]
+    fn context_search_output_is_smaller_than_keyword_search() {
+        // The paper's headline: context-based search reduces output size.
+        let pair = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+        let snap = prepare_pairs(&[pair]);
+        let q = a_query(&snap);
+        let keyword = snap.keyword_search(&q, 0.0);
+        let context = snap.searcher().query(&q, pair.0, pair.1, 0).unwrap();
+        assert!(
+            context.len() <= keyword.len(),
+            "context {} vs keyword {}",
+            context.len(),
+            keyword.len()
+        );
+    }
+
+    #[test]
+    fn prestige_functions_cover_expected_contexts() {
+        use ContextSetKind::{PatternBased, TextBased};
+        let snap = prepare_pairs(&[
+            (PatternBased, ScoreFunction::Citation),
+            (PatternBased, ScoreFunction::Pattern),
+            (TextBased, ScoreFunction::Text),
+        ]);
+        let psets = snap.sets(PatternBased);
+        // Citation and pattern scores exist for all pattern contexts.
+        for f in [ScoreFunction::Citation, ScoreFunction::Pattern] {
+            let table = snap.prestige(PatternBased, f).unwrap();
+            assert_eq!(table.contexts().count(), psets.n_contexts());
+        }
+        // Text scores only where representatives exist.
+        let txt = snap.prestige(TextBased, ScoreFunction::Text).unwrap();
+        assert_eq!(
+            txt.contexts().count(),
+            snap.sets(TextBased).representatives.len()
+        );
+    }
+
+    #[test]
+    fn snippets_cover_query_or_fall_back_to_title() {
+        let pair = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+        let snap = prepare_pairs(&[pair]);
+        let q = a_query(&snap);
+        for h in snap.searcher().query(&q, pair.0, pair.1, 5).unwrap() {
+            assert!(!snap.snippet(h.paper, &q).is_empty());
+        }
+        // Nonsense query → title fallback.
+        let s = snap.snippet(PaperId(0), "zzznonsense");
+        assert_eq!(s, snap.corpus().paper(PaperId(0)).title);
+    }
+
+    #[test]
+    fn weighted_citation_prestige_reduces_ties() {
+        let pair = (ContextSetKind::PatternBased, ScoreFunction::Citation);
+        let snap = prepare_pairs(&[pair]);
+        let sets = snap.sets(pair.0);
+        let plain = snap.prestige(pair.0, pair.1).unwrap();
+        let weighted = snap.weighted_citation_prestige(sets, &CrossContextWeights::default());
+        let tie_fraction = |p: &PrestigeScores| {
+            let (mut total, mut distinct) = (0usize, 0usize);
+            for c in sets.contexts_with_min_size(5) {
+                let values: Vec<u64> = p.score_values(c).iter().map(|s| s.to_bits()).collect();
+                total += values.len();
+                distinct += values.iter().collect::<HashSet<_>>().len();
+            }
+            1.0 - distinct as f64 / total.max(1) as f64
+        };
+        assert!(
+            tie_fraction(&weighted) <= tie_fraction(plain) + 1e-9,
+            "weighted variant must not add ties"
+        );
+        // Coverage identical.
+        assert_eq!(plain.contexts().count(), weighted.contexts().count());
     }
 }

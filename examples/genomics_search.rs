@@ -9,17 +9,17 @@
 //!
 //! Run with: `cargo run --release --example genomics_search`
 
-use litsearch::context_search::ScoreFunction;
+use litsearch::context_search::{ContextSetKind, ScoreFunction};
 use litsearch::corpus::queries::{generate_queries, QueryConfig};
-use litsearch::demo::{engine, Scale};
+use litsearch::demo::{snapshot_with, Scale};
 use litsearch::eval::precision;
 use std::collections::HashSet;
 
 fn main() {
-    println!("building demo engine (small scale — a minute or so)...");
-    let engine = engine(Scale::Small, 7);
-    let sets = engine.pattern_context_sets();
-    let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
+    println!("preparing demo snapshot (small scale — a minute or so)...");
+    let (kind, function) = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+    let engine = snapshot_with(Scale::Small, 7, &[(kind, function)]);
+    let searcher = engine.searcher();
 
     let queries = generate_queries(
         engine.ontology(),
@@ -47,8 +47,9 @@ fn main() {
         // that membership restriction is where the paper's output-size
         // reduction comes from.
         let keyword = engine.keyword_search(&q.text, 0.10);
-        let context: Vec<_> = engine
-            .search(&q.text, &sets, &prestige, 0)
+        let context: Vec<_> = searcher
+            .query(&q.text, kind, function, 0)
+            .unwrap()
             .into_iter()
             .filter(|h| h.matching > 0.10)
             .collect();

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example medline_import`
 
-use litsearch::context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use litsearch::context_search::{
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction,
+};
 use litsearch::corpus::medline::parse_medline;
 use litsearch::corpus::Corpus;
 use litsearch::ontology::obo::parse_obo;
@@ -97,8 +99,16 @@ fn main() {
         Default::default(),
         &term_names,
     );
-    let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
-    let sets = engine.pattern_context_sets();
+    let (kind, function) = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+    let engine = EngineSnapshot::prepare_with(
+        ontology,
+        corpus,
+        EngineConfig::default(),
+        PrepareOptions {
+            pairs: vec![(kind, function)],
+        },
+    );
+    let sets = engine.sets(kind);
     println!("\ncontext paper sets:");
     for c in sets.contexts() {
         println!(
@@ -111,10 +121,10 @@ fn main() {
         );
     }
 
-    let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
+    let searcher = engine.searcher();
     for query in ["histone modification chromatin", "kinase phosphorylation"] {
         println!("\nquery: {query:?}");
-        for h in engine.search(query, &sets, &prestige, 3) {
+        for h in searcher.query(query, kind, function, 3).unwrap() {
             println!(
                 "  R={:.3}  [{}]  {}",
                 h.relevancy,

@@ -4,30 +4,28 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use litsearch::context_search::ScoreFunction;
-use litsearch::demo::{engine, Scale};
+use litsearch::context_search::{ContextSetKind, ScoreFunction};
+use litsearch::demo::{snapshot_with, Scale};
 
 fn main() {
-    println!("building demo engine (tiny scale)...");
-    let engine = engine(Scale::Tiny, 42);
+    // Tasks 1 and 2, the offline phase: assign papers to contexts (the
+    // pattern-based paper set covers every context; the text-based set
+    // needs annotation evidence) and pre-compute prestige scores.
+    println!("preparing demo snapshot (tiny scale)...");
+    let (kind, function) = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+    let engine = snapshot_with(Scale::Tiny, 42, &[(kind, function)]);
     println!(
         "  ontology: {} terms (max level {})",
         engine.ontology().len(),
         engine.ontology().max_level()
     );
     println!("  corpus:   {} papers", engine.corpus().len());
-
-    // Task 1: assign papers to contexts (pattern-based paper set covers
-    // every context; the text-based set needs annotation evidence).
-    let sets = engine.pattern_context_sets();
+    let sets = engine.sets(kind);
     println!(
         "  contexts: {} non-empty (mean size {:.1})",
         sets.n_contexts(),
         sets.mean_size()
     );
-
-    // Task 2: pre-compute prestige scores.
-    let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
 
     // Tasks 3-5: search. Use a mid-level term's name as the query.
     let term = engine
@@ -38,7 +36,9 @@ fn main() {
     let query = engine.ontology().term(term).name.clone();
     println!("\nquery: {query:?}");
 
-    let hits = engine.search(&query, &sets, &prestige, 10);
+    let searcher = engine.searcher();
+    let search = |limit| searcher.query(&query, kind, function, limit).unwrap();
+    let hits = search(10);
     println!(
         "top {} results (relevancy = 0.5·prestige + 0.5·match):",
         hits.len()
@@ -62,7 +62,7 @@ fn main() {
     println!(
         "\nkeyword baseline returned {} papers; context-based search returned {}",
         baseline.len(),
-        engine.search(&query, &sets, &prestige, 0).len()
+        search(0).len()
     );
 }
 

@@ -4,14 +4,26 @@
 //!
 //! Run with: `cargo run --release --example ranking_comparison`
 
-use litsearch::context_search::ScoreFunction;
-use litsearch::demo::{engine, Scale};
+use litsearch::context_search::{ContextSetKind, ScoreFunction};
+use litsearch::demo::{snapshot_with, Scale};
 use litsearch::eval::{separability_sd, top_k_percent_overlap};
 
+use ContextSetKind::{PatternBased, TextBased};
+
 fn main() {
-    println!("building demo engine (tiny scale)...");
-    let engine = engine(Scale::Tiny, 11);
-    let sets = engine.pattern_context_sets();
+    println!("preparing demo snapshot (tiny scale)...");
+    // Text scores need a representative; they come from the text-based
+    // sets.
+    let engine = snapshot_with(
+        Scale::Tiny,
+        11,
+        &[
+            (PatternBased, ScoreFunction::Citation),
+            (PatternBased, ScoreFunction::Pattern),
+            (TextBased, ScoreFunction::Text),
+        ],
+    );
+    let sets = engine.sets(PatternBased);
 
     // Pick the largest direct (non-inherited) context.
     let context = sets
@@ -27,14 +39,12 @@ fn main() {
         sets.members(context).len()
     );
 
-    let citation = engine.prestige(&sets, ScoreFunction::Citation);
-    let pattern = engine.prestige(&sets, ScoreFunction::Pattern);
+    let table = |kind, function| engine.prestige(kind, function).expect("prepared");
+    let citation = table(PatternBased, ScoreFunction::Citation);
+    let pattern = table(PatternBased, ScoreFunction::Pattern);
+    let text = table(TextBased, ScoreFunction::Text);
 
-    // Text scores need a representative; use the text-based sets for it.
-    let tsets = engine.text_context_sets();
-    let text = engine.prestige(&tsets, ScoreFunction::Text);
-
-    for (name, scores) in [("citation", &citation), ("pattern", &pattern)] {
+    for (name, scores) in [("citation", citation), ("pattern", pattern)] {
         println!("top 5 by {name}-based prestige:");
         let mut ranked: Vec<_> = scores.scores(context);
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
@@ -56,11 +66,11 @@ fn main() {
             .map(|&(p, v)| (p.0, v))
             .collect::<Vec<_>>()
     };
-    let cp = top_k_percent_overlap(&as_pairs(&citation), &as_pairs(&pattern), 0.10);
+    let cp = top_k_percent_overlap(&as_pairs(citation), &as_pairs(pattern), 0.10);
     println!("top-10% overlapping ratio citation↔pattern: {cp:.2}");
     if text.scores(context).len() > 1 {
-        let tc = top_k_percent_overlap(&as_pairs(&text), &as_pairs(&citation), 0.10);
-        let tp = top_k_percent_overlap(&as_pairs(&text), &as_pairs(&pattern), 0.10);
+        let tc = top_k_percent_overlap(&as_pairs(text), &as_pairs(citation), 0.10);
+        let tp = top_k_percent_overlap(&as_pairs(text), &as_pairs(pattern), 0.10);
         println!("top-10% overlapping ratio text↔citation:    {tc:.2}");
         println!("top-10% overlapping ratio text↔pattern:     {tp:.2}");
     }

@@ -13,16 +13,18 @@
 //! ```
 //!
 //! `generate` writes `ontology.obo` (the standard GO distribution
-//! format) and `corpus.json`; `assign`/`prestige` write their artifacts
-//! next to them; `search` loads everything and prints ranked results.
+//! format) and `corpus.json`; `assign`/`prestige` write the prepare
+//! plan's sets and tables next to them, in the snapshot's file formats;
+//! `search` prepares the one requested table (or loads a `prepare`d
+//! snapshot) and prints ranked results.
 
+use litsearch::context_search::assign::{build_pattern_sets, build_text_sets, patterns_by_context};
+use litsearch::context_search::indexes::CorpusIndex;
 use litsearch::context_search::persist::{
-    context_sets_from_json, context_sets_to_json, load_snapshot, prestige_from_json,
-    prestige_to_json, save_snapshot,
+    context_sets_to_json, load_snapshot, prestige_to_json, save_snapshot,
 };
 use litsearch::context_search::{
-    ContextId, ContextPaperSets, ContextSearchEngine, EngineConfig, EngineSnapshot, PrestigeScores,
-    ScoreFunction, SearchResult, Searcher,
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction, Searcher,
 };
 use litsearch::corpus::Corpus;
 use litsearch::ontology::obo::{parse_obo, write_obo};
@@ -505,7 +507,10 @@ plan (`--build-threads N` runs independent stages concurrently; 1 forces
 the sequential schedule; both are result-identical) and writes a
 versioned snapshot directory. `search --snapshot DIR` warm-starts from
 that directory, skipping every per-context prestige/PageRank
-computation.
+computation. `assign` and `prestige` write one set or table of that
+plan into the data directory, and `search --data DIR` prepares its one
+(kind, function) pair in process; both print and write exactly what
+the snapshot holds.
 
 Any command also accepts `--metrics PATH`: collect telemetry (spans,
 counters, latency histograms) and write a JSON snapshot to PATH.
@@ -621,9 +626,10 @@ fn load_data(flags: &Flags) -> Result<(Ontology, Corpus, String), String> {
     Ok((ontology, corpus, dir))
 }
 
-fn parse_kind(flags: &Flags) -> Result<&str, String> {
+fn parse_kind(flags: &Flags) -> Result<ContextSetKind, String> {
     match flags.require("kind")? {
-        k @ ("text" | "pattern") => Ok(k),
+        "text" => Ok(ContextSetKind::TextBased),
+        "pattern" => Ok(ContextSetKind::PatternBased),
         other => Err(format!("--kind must be text or pattern, got {other:?}")),
     }
 }
@@ -639,12 +645,12 @@ fn parse_function(flags: &Flags) -> Result<ScoreFunction, String> {
     }
 }
 
-fn sets_path(dir: &str, kind: &str) -> PathBuf {
-    Path::new(dir).join(format!("sets_{kind}.json"))
+fn sets_path(dir: &str, kind: ContextSetKind) -> PathBuf {
+    Path::new(dir).join(format!("sets_{}.json", kind.name()))
 }
 
-fn prestige_path(dir: &str, kind: &str, function: ScoreFunction) -> PathBuf {
-    Path::new(dir).join(format!("prestige_{kind}_{}.json", function.name()))
+fn prestige_path(dir: &str, kind: ContextSetKind, function: ScoreFunction) -> PathBuf {
+    Path::new(dir).join(format!("prestige_{}_{}.json", kind.name(), function.name()))
 }
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
@@ -683,15 +689,21 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// `litsearch assign`: one context paper set, built by the prepare
+/// plan's own stage functions.
 fn cmd_assign(flags: &Flags) -> Result<(), String> {
     let (ontology, corpus, dir) = load_data(flags)?;
     let kind = parse_kind(flags)?;
-    eprintln!("building engine…");
-    let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
-    eprintln!("assigning papers to contexts ({kind})…");
+    let config = engine_config(flags)?;
+    eprintln!("building the corpus index…");
+    let index = CorpusIndex::build(&ontology, &corpus, &config.pagerank);
+    eprintln!("assigning papers to contexts ({})…", kind.name());
     let sets = match kind {
-        "text" => engine.text_context_sets(),
-        _ => engine.pattern_context_sets(),
+        ContextSetKind::TextBased => build_text_sets(&ontology, &corpus, &index, &config),
+        ContextSetKind::PatternBased => {
+            let patterns = patterns_by_context(&ontology, &corpus, &index, &config);
+            build_pattern_sets(&ontology, &corpus, &index, &patterns, &config)
+        }
     };
     let path = sets_path(&dir, kind);
     let json = context_sets_to_json(&sets).map_err(|e| e.to_string())?;
@@ -705,17 +717,41 @@ fn cmd_assign(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Run the prepare plan for the one (kind, function) pair a command
+/// reads.
+fn prepare_pair(
+    flags: &Flags,
+    kind: ContextSetKind,
+    function: ScoreFunction,
+) -> Result<std::sync::Arc<EngineSnapshot>, String> {
+    let (ontology, corpus, _dir) = load_data(flags)?;
+    let options = PrepareOptions {
+        pairs: vec![(kind, function)],
+    };
+    eprintln!(
+        "preparing the ({}, {}) prestige table…",
+        kind.name(),
+        function.name()
+    );
+    Ok(EngineSnapshot::prepare_with(
+        ontology,
+        corpus,
+        engine_config(flags)?,
+        options,
+    ))
+}
+
+/// `litsearch prestige`: the prepare plan's table for one pair.
 fn cmd_prestige(flags: &Flags) -> Result<(), String> {
-    let (ontology, corpus, dir) = load_data(flags)?;
     let kind = parse_kind(flags)?;
     let function = parse_function(flags)?;
-    let sets = load_sets(&dir, kind)?;
-    eprintln!("building engine…");
-    let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
-    eprintln!("computing {} prestige…", function.name());
-    let prestige = engine.prestige(&sets, function);
-    let path = prestige_path(&dir, kind, function);
-    let json = prestige_to_json(&prestige).map_err(|e| e.to_string())?;
+    let dir = flags.require("data")?;
+    let snapshot = prepare_pair(flags, kind, function)?;
+    let prestige = snapshot
+        .prestige(kind, function)
+        .ok_or("the prepare plan skipped the requested pair")?;
+    let path = prestige_path(dir, kind, function);
+    let json = prestige_to_json(prestige).map_err(|e| e.to_string())?;
     std::fs::write(&path, json).map_err(|e| e.to_string())?;
     eprintln!(
         "wrote {} ({} scored contexts)",
@@ -723,28 +759,6 @@ fn cmd_prestige(flags: &Flags) -> Result<(), String> {
         prestige.contexts().count()
     );
     Ok(())
-}
-
-fn load_sets(dir: &str, kind: &str) -> Result<ContextPaperSets, String> {
-    let path = sets_path(dir, kind);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read {} (run `litsearch assign` first): {e}",
-            path.display()
-        )
-    })?;
-    context_sets_from_json(&text).map_err(|e| e.to_string())
-}
-
-fn load_prestige(dir: &str, kind: &str, function: ScoreFunction) -> Result<PrestigeScores, String> {
-    let path = prestige_path(dir, kind, function);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read {} (run `litsearch prestige` first): {e}",
-            path.display()
-        )
-    })?;
-    prestige_from_json(&text).map_err(|e| e.to_string())
 }
 
 fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
@@ -773,138 +787,53 @@ fn cmd_prepare(flags: &Flags) -> Result<(), String> {
     save_snapshot(&snapshot, Path::new(&out)).map_err(|e| e.to_string())?;
     eprintln!(
         "wrote snapshot to {out} ({} contexts text / {} pattern, {} prestige tables)",
-        snapshot
-            .sets(litsearch::context_search::ContextSetKind::TextBased)
-            .n_contexts(),
-        snapshot
-            .sets(litsearch::context_search::ContextSetKind::PatternBased)
-            .n_contexts(),
+        snapshot.sets(ContextSetKind::TextBased).n_contexts(),
+        snapshot.sets(ContextSetKind::PatternBased).n_contexts(),
         snapshot.pairs().len()
     );
     Ok(())
 }
 
-/// The two ways `search` can get a query path: a cold engine build from
-/// the piecemeal `--data` artifacts, or a lock-free [`Searcher`] over a
-/// warm-loaded `--snapshot` directory.
-enum Backend {
-    Cold(Box<ContextSearchEngine>),
-    Warm(
-        Searcher,
-        litsearch::context_search::ContextSetKind,
-        ScoreFunction,
-    ),
-}
-
-impl Backend {
-    fn search(
-        &self,
-        query: &str,
-        sets: &ContextPaperSets,
-        prestige: &PrestigeScores,
-        limit: usize,
-    ) -> Vec<SearchResult> {
-        match self {
-            Self::Cold(e) => e.search(query, sets, prestige, limit),
-            // Warm serving goes through the serve path proper, so every
-            // query carries the `serve.query` span the rolling windows
-            // and SLOs watch. The snapshot holds the same tables the
-            // caller resolved, so results are identical to the explicit
-            // form (and the explicit form is the fallback).
-            Self::Warm(s, kind, function) => s
-                .query(query, *kind, *function, limit)
-                .unwrap_or_else(|_| s.search(query, sets, prestige, limit)),
-        }
-    }
-
-    fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
-        match self {
-            Self::Cold(e) => e.select_contexts(query, sets),
-            Self::Warm(s, ..) => s.select_contexts(query, sets),
-        }
-    }
-
-    fn ontology(&self) -> &Ontology {
-        match self {
-            Self::Cold(e) => e.ontology(),
-            Self::Warm(s, ..) => s.ontology(),
-        }
-    }
-
-    fn corpus(&self) -> &Corpus {
-        match self {
-            Self::Cold(e) => e.corpus(),
-            Self::Warm(s, ..) => s.corpus(),
-        }
-    }
-
-    fn snippet(&self, paper: litsearch::corpus::PaperId, query: &str) -> String {
-        match self {
-            Self::Cold(e) => e.snippet(paper, query),
-            Self::Warm(s, ..) => s.snippet(paper, query),
-        }
-    }
-}
-
+/// `litsearch search`: one query against a warm-loaded `--snapshot`
+/// directory, or against the one pair prepared in process from a
+/// `--data` directory; both print through the same [`Searcher`].
 fn cmd_search(flags: &Flags) -> Result<(), String> {
     let kind = parse_kind(flags)?;
     let function = parse_function(flags)?;
     let query = flags.require("query")?.to_string();
     let limit = flags.get_usize("limit", 10)?;
     let repeat = flags.get_usize("repeat", 1)?.max(1);
-    let (engine, sets, prestige) = if let Some(snap_dir) = flags.get("snapshot") {
+    let snapshot = if let Some(snap_dir) = flags.get("snapshot") {
         eprintln!("loading snapshot from {snap_dir}…");
-        let snapshot =
-            load_snapshot(Path::new(snap_dir), engine_config(flags)?).map_err(|e| e.to_string())?;
-        let set_kind = match kind {
-            "text" => litsearch::context_search::ContextSetKind::TextBased,
-            _ => litsearch::context_search::ContextSetKind::PatternBased,
-        };
-        let sets = snapshot.sets(set_kind).clone();
-        let prestige = snapshot
-            .prestige(set_kind, function)
-            .ok_or_else(|| {
-                format!(
-                    "snapshot has no prestige table for ({kind}, {}); re-run `litsearch prepare`",
-                    function.name()
-                )
-            })?
-            .clone();
-        (
-            Backend::Warm(snapshot.searcher(), set_kind, function),
-            sets,
-            prestige,
-        )
+        load_snapshot(Path::new(snap_dir), engine_config(flags)?).map_err(|e| e.to_string())?
     } else {
-        let (ontology, corpus, dir) = load_data(flags)?;
-        let sets = load_sets(&dir, kind)?;
-        let prestige = load_prestige(&dir, kind, function)?;
-        eprintln!("building engine…");
-        let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
-        (Backend::Cold(Box::new(engine)), sets, prestige)
+        prepare_pair(flags, kind, function)?
     };
+    let searcher = snapshot.searcher();
 
-    // Warm-up repeats (beyond the reported run) populate the latency
-    // histograms so --metrics percentiles are meaningful.
-    for _ in 1..repeat {
-        let _ = engine.search(&query, &sets, &prestige, limit);
+    // Repeats before the reported run populate the latency histograms
+    // so --metrics percentiles are meaningful.
+    let mut hits = Vec::new();
+    for _ in 0..repeat {
+        hits = searcher
+            .query(&query, kind, function, limit)
+            .map_err(|e| e.to_string())?;
     }
 
-    let contexts = engine.select_contexts(&query, &sets);
+    let ontology = searcher.ontology();
     println!("query: {query:?}");
     println!("selected contexts:");
-    for (c, score) in &contexts {
+    for (c, score) in searcher.select_contexts(&query, searcher.sets(kind)) {
         println!(
             "  {:.2}  {} (level {})",
             score,
-            engine.ontology().term(*c).name,
-            engine.ontology().level(*c)
+            ontology.term(c).name,
+            ontology.level(c)
         );
     }
-    let hits = engine.search(&query, &sets, &prestige, limit);
     println!("\ntop {} results:", hits.len());
     for (rank, h) in hits.iter().enumerate() {
-        let p = engine.corpus().paper(h.paper);
+        let p = searcher.corpus().paper(h.paper);
         println!(
             "  {:>2}. R={:.3} (prestige {:.3}, match {:.3})  {}",
             rank + 1,
@@ -913,7 +842,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
             h.matching,
             p.title
         );
-        println!("      {}", engine.snippet(h.paper, &query));
+        println!("      {}", snapshot.snippet(h.paper, &query));
     }
     if obs::enabled() {
         let snap = obs::snapshot();

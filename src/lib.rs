@@ -2,8 +2,8 @@
 //! (Ratprasartporn et al., ICDE 2007).
 //!
 //! Re-exports every workspace crate and provides [`demo`] — a one-call
-//! builder of a synthetic ontology + corpus + engine used by the
-//! examples and integration tests.
+//! builder of a synthetic ontology + corpus + prepared snapshot used by
+//! the examples and integration tests.
 
 pub extern crate bench;
 pub use citegraph;
@@ -18,19 +18,20 @@ pub use textproc;
 /// Convenience builders for a ready-to-search demo setup.
 ///
 /// ```
-/// use litsearch::context_search::ScoreFunction;
-/// use litsearch::demo::{engine, Scale};
+/// use litsearch::context_search::{ContextSetKind, ScoreFunction};
+/// use litsearch::demo::{snapshot_with, Scale};
 ///
-/// let engine = engine(Scale::Tiny, 42);
-/// let sets = engine.pattern_context_sets();
-/// let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
-/// let hits = engine.search("biological process", &sets, &prestige, 5);
+/// let pair = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+/// let snapshot = snapshot_with(Scale::Tiny, 42, &[pair]);
+/// let hits = snapshot.searcher().query("biological process", pair.0, pair.1, 5).unwrap();
 /// assert!(hits.len() <= 5);
 /// ```
 pub mod demo {
-    use context_search::{ContextSearchEngine, EngineConfig};
+    use context_search::snapshot::PrestigePair;
+    use context_search::{EngineConfig, EngineSnapshot, PrepareOptions};
     use corpus::CorpusConfig;
     use ontology::GeneratorConfig;
+    use std::sync::Arc;
 
     /// Scale of a demo setup.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,33 +68,39 @@ pub mod demo {
         (onto, corp)
     }
 
-    /// Build a complete engine at the given scale.
-    pub fn engine(scale: Scale, seed: u64) -> ContextSearchEngine {
+    /// Prepare a snapshot at the given scale holding only the `pairs`
+    /// prestige tables.
+    pub fn snapshot_with(scale: Scale, seed: u64, pairs: &[PrestigePair]) -> Arc<EngineSnapshot> {
         let (ocfg, ccfg) = configs(scale, seed);
         let onto = ontology::generate_ontology(&ocfg);
         let corp = corpus::generate_corpus(&onto, &ccfg);
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        let options = PrepareOptions {
+            pairs: pairs.to_vec(),
+        };
+        EngineSnapshot::prepare_with(onto, corp, EngineConfig::default(), options)
     }
 
     /// Prepare a full immutable snapshot (all five standard prestige
     /// tables) at the given scale.
-    pub fn snapshot(scale: Scale, seed: u64) -> std::sync::Arc<context_search::EngineSnapshot> {
-        let (ocfg, ccfg) = configs(scale, seed);
-        let onto = ontology::generate_ontology(&ocfg);
-        let corp = corpus::generate_corpus(&onto, &ccfg);
-        context_search::EngineSnapshot::prepare(onto, corp, EngineConfig::default())
+    pub fn snapshot(scale: Scale, seed: u64) -> Arc<EngineSnapshot> {
+        snapshot_with(scale, seed, &PrepareOptions::default().pairs)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::demo::{engine, Scale};
+    use super::demo::{snapshot_with, Scale};
+    use context_search::{ContextSetKind, ScoreFunction};
 
     #[test]
     fn tiny_demo_engine_builds_and_searches() {
-        let e = engine(Scale::Tiny, 42);
-        assert!(e.corpus().len() == 200);
-        let sets = e.pattern_context_sets();
-        assert!(sets.n_contexts() > 10);
+        let pair = (ContextSetKind::PatternBased, ScoreFunction::Citation);
+        let snap = snapshot_with(Scale::Tiny, 42, &[pair]);
+        assert!(snap.corpus().len() == 200);
+        assert!(snap.sets(pair.0).n_contexts() > 10);
+        let hits = snap
+            .searcher()
+            .query("biological process", pair.0, pair.1, 5);
+        assert!(hits.unwrap().len() <= 5);
     }
 }

@@ -109,7 +109,7 @@ fn metrics_flag_writes_telemetry_snapshots() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // prestige --metrics: engine build + prestige spans, PageRank stats.
+    // prestige --metrics: the prepare plan's spans, PageRank stats.
     let prestige_metrics = dir.join("prestige_metrics.json");
     let out = litsearch(&[
         "prestige",
@@ -134,10 +134,9 @@ fn metrics_flag_writes_telemetry_snapshots() {
     let json = std::fs::read_to_string(&prestige_metrics).expect("metrics file written");
     let snap = obs::MetricsSnapshot::from_json(&json).expect("metrics file parses");
     for name in [
-        "engine.build",
+        "prepare.total",
         "index.build",
-        "engine.prestige",
-        "prestige.citation",
+        "prepare.prestige.pattern_citation",
     ] {
         let span = snap
             .span(name)
@@ -325,9 +324,10 @@ fn trace_flag_writes_chrome_trace() {
 }
 
 /// `prepare` + `search --snapshot`: the warm-start pipeline through the
-/// executable. The warm search must print the same ranked results as
-/// the piecemeal cold path, and the metrics snapshot must show the
-/// prepare plan's stage spans (cold) vs. the loader span with no
+/// executable. For every prepared pair, `assign` and `prestige` write
+/// the snapshot's own files byte for byte, and `search --data` prints
+/// exactly what `search --snapshot` prints. The metrics snapshots show
+/// the prepare plan's stage spans (cold) vs. the loader span with no
 /// per-context prestige work (warm).
 #[test]
 fn prepare_then_snapshot_search_through_the_cli() {
@@ -364,15 +364,7 @@ fn prepare_then_snapshot_search_through_the_cli() {
         "prepare: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for file in [
-        "snapshot.json",
-        "ontology.obo",
-        "corpus.json",
-        "sets_text.json",
-        "sets_pattern.json",
-        "prestige_pattern_pattern.json",
-        "prestige_text_citation.json",
-    ] {
+    for file in ["snapshot.json", "ontology.obo", "corpus.json"] {
         assert!(snap_dir.join(file).exists(), "snapshot missing {file}");
     }
     let json = std::fs::read_to_string(&prepare_metrics).unwrap();
@@ -389,43 +381,71 @@ fn prepare_then_snapshot_search_through_the_cli() {
         assert!(m.span(name).is_some(), "span {name} missing: {json}");
     }
 
-    // Cold reference via the piecemeal path.
-    for args in [
-        vec!["assign", "--data", data, "--kind", "pattern"],
-        vec![
+    let same_file = |name: &str| {
+        let piecemeal = std::fs::read(dir.join(name)).unwrap();
+        let prepared = std::fs::read(snap_dir.join(name)).unwrap();
+        assert!(piecemeal == prepared, "{name} differs from the snapshot's");
+    };
+    for kind in ["text", "pattern"] {
+        let out = litsearch(&["assign", "--data", data, "--kind", kind]);
+        assert!(out.status.success(), "assign {kind}");
+        same_file(&format!("sets_{kind}.json"));
+    }
+    for (kind, function) in [
+        ("text", "text"),
+        ("text", "citation"),
+        ("pattern", "pattern"),
+        ("pattern", "citation"),
+        ("pattern", "text"),
+    ] {
+        let out = litsearch(&[
             "prestige",
             "--data",
             data,
             "--kind",
-            "pattern",
+            kind,
             "--function",
-            "pattern",
-        ],
-    ] {
-        let out = litsearch(&args);
-        assert!(out.status.success(), "{:?}", args[0]);
-    }
-    let cold = litsearch(&[
-        "search",
-        "--data",
-        data,
-        "--kind",
-        "pattern",
-        "--function",
-        "pattern",
-        "--query",
-        "biological process",
-        "--limit",
-        "5",
-    ]);
-    assert!(
-        cold.status.success(),
-        "cold search: {}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
+            function,
+        ]);
+        assert!(out.status.success(), "prestige {kind}/{function}");
+        same_file(&format!("prestige_{kind}_{function}.json"));
 
-    // Warm search from the snapshot: same ranked output, and the
-    // metrics show the load path did no per-context prestige work.
+        let search = |source: &str, dir: &str| {
+            let out = litsearch(&[
+                "search",
+                source,
+                dir,
+                "--kind",
+                kind,
+                "--function",
+                function,
+                "--query",
+                "biological process",
+                "--limit",
+                "5",
+            ]);
+            assert!(
+                out.status.success(),
+                "search {source} {kind}/{function}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let cold = search("--data", data);
+        let warm = search("--snapshot", snap);
+        assert_eq!(
+            String::from_utf8_lossy(&cold),
+            String::from_utf8_lossy(&warm),
+            "{kind}/{function}: --data and --snapshot must print the same results"
+        );
+        assert!(
+            String::from_utf8_lossy(&warm).contains("R="),
+            "{kind}/{function}: no results"
+        );
+    }
+
+    // The metrics of a warm search show the load path did no
+    // per-context prestige work.
     let warm_metrics = dir.join("warm_metrics.json");
     let warm = litsearch(&[
         "search",
@@ -447,28 +467,18 @@ fn prepare_then_snapshot_search_through_the_cli() {
         "warm search: {}",
         String::from_utf8_lossy(&warm.stderr)
     );
-    assert_eq!(
-        String::from_utf8_lossy(&cold.stdout),
-        String::from_utf8_lossy(&warm.stdout),
-        "warm-start results must match the cold path exactly"
-    );
     let json = std::fs::read_to_string(&warm_metrics).unwrap();
     let m = obs::MetricsSnapshot::from_json(&json).unwrap();
     assert!(m.span("persist.load_snapshot").is_some(), "{json}");
     assert!(m.span("engine.search").is_some(), "{json}");
-    for skipped in [
-        "engine.prestige",
-        "prepare.total",
-        "prestige.context_pagerank",
-        "engine.build",
-    ] {
+    for skipped in ["prepare.total", "prestige.context_pagerank"] {
         assert!(
             m.span(skipped).is_none(),
             "warm start must not run {skipped}: {json}"
         );
     }
 
-    // A snapshot lacking the requested pair fails with guidance.
+    // A missing snapshot directory fails with an error.
     let out = litsearch(&[
         "search",
         "--snapshot",

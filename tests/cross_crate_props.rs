@@ -1,18 +1,24 @@
 //! Property-based integration tests: random small ontologies and
-//! corpora must always produce valid engines, scores, and metrics.
+//! corpora must always produce valid snapshots, scores, and metrics.
 
-use litsearch::context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use litsearch::context_search::{
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction,
+};
 use litsearch::corpus::{generate_corpus, CorpusConfig};
 use litsearch::eval::{separability_sd, top_k_percent_overlap};
 use litsearch::ontology::{generate_ontology, GeneratorConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn tiny_engine(
+/// A random small snapshot holding the pattern-based set's tables for
+/// `functions`.
+fn tiny_snapshot(
     ont_seed: u64,
     corp_seed: u64,
     n_terms: usize,
     n_papers: usize,
-) -> ContextSearchEngine {
+    functions: &[ScoreFunction],
+) -> Arc<EngineSnapshot> {
     let onto = generate_ontology(&GeneratorConfig {
         n_terms,
         seed: ont_seed,
@@ -28,7 +34,16 @@ fn tiny_engine(
             ..Default::default()
         },
     );
-    ContextSearchEngine::build(onto, corp, EngineConfig::default())
+    let pairs = functions
+        .iter()
+        .map(|&f| (ContextSetKind::PatternBased, f))
+        .collect();
+    EngineSnapshot::prepare_with(
+        onto,
+        corp,
+        EngineConfig::default(),
+        PrepareOptions { pairs },
+    )
 }
 
 proptest! {
@@ -41,8 +56,9 @@ proptest! {
         n_terms in 20usize..60,
         n_papers in 30usize..80,
     ) {
-        let e = tiny_engine(ont_seed, corp_seed, n_terms, n_papers);
-        let sets = e.pattern_context_sets();
+        let functions = [ScoreFunction::Citation, ScoreFunction::Pattern];
+        let e = tiny_snapshot(ont_seed, corp_seed, n_terms, n_papers, &functions);
+        let sets = e.sets(ContextSetKind::PatternBased);
         // Every member id is a real paper; sets are sorted and deduped.
         for c in sets.contexts() {
             let members = sets.members(c);
@@ -54,8 +70,8 @@ proptest! {
             }
         }
         // All prestige functions bounded.
-        for f in [ScoreFunction::Citation, ScoreFunction::Pattern] {
-            let prestige = e.prestige(&sets, f);
+        for f in functions {
+            let prestige = e.prestige(ContextSetKind::PatternBased, f).unwrap();
             for c in prestige.contexts() {
                 for &(_, s) in prestige.scores(c).iter() {
                     prop_assert!(s.is_finite() && (0.0..=1.0 + 1e-9).contains(&s));
@@ -70,10 +86,11 @@ proptest! {
     fn overlap_ratio_of_any_two_functions_is_bounded(
         seed in 0u64..500,
     ) {
-        let e = tiny_engine(seed, seed + 1, 30, 50);
-        let sets = e.pattern_context_sets();
-        let a = e.prestige(&sets, ScoreFunction::Citation);
-        let b = e.prestige(&sets, ScoreFunction::Pattern);
+        let functions = [ScoreFunction::Citation, ScoreFunction::Pattern];
+        let e = tiny_snapshot(seed, seed + 1, 30, 50, &functions);
+        let sets = e.sets(ContextSetKind::PatternBased);
+        let a = e.prestige(ContextSetKind::PatternBased, ScoreFunction::Citation).unwrap();
+        let b = e.prestige(ContextSetKind::PatternBased, ScoreFunction::Pattern).unwrap();
         for c in sets.contexts_with_min_size(5) {
             let pa: Vec<(u32, f64)> = a.scores(c).iter().map(|&(p, s)| (p.0, s)).collect();
             let pb: Vec<(u32, f64)> = b.scores(c).iter().map(|&(p, s)| (p.0, s)).collect();
@@ -89,10 +106,11 @@ proptest! {
         seed in 0u64..300,
         query in "[a-z ]{0,40}",
     ) {
-        let e = tiny_engine(seed, seed + 7, 25, 40);
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Pattern);
-        let hits = e.search(&query, &sets, &prestige, 10);
+        let e = tiny_snapshot(seed, seed + 7, 25, 40, &[ScoreFunction::Pattern]);
+        let hits = e
+            .searcher()
+            .query(&query, ContextSetKind::PatternBased, ScoreFunction::Pattern, 10)
+            .unwrap();
         for w in hits.windows(2) {
             prop_assert!(w[0].relevancy >= w[1].relevancy);
         }

@@ -1,31 +1,29 @@
 //! Differential proof for the columnar execution core: the dense-ID
 //! scratch + merge-intersection + bounded top-k path must reproduce the
 //! old map-shaped algorithm **byte for byte** — same papers, same
-//! float bits, same winning contexts — cold-built, warm-loaded from a
-//! snapshot (both current and version-1 layouts), single-threaded and
-//! across 8 concurrent threads.
+//! float bits, same winning contexts — prepared in memory and
+//! warm-loaded from a snapshot directory, single-threaded and across 8
+//! concurrent threads.
 //!
 //! The reference implementation below is the pre-columnar algorithm
 //! kept verbatim: keyword scores collected into a `HashMap`, a nested
 //! context × prestige-pair loop with first-wins best tracking, a full
 //! sort, then truncate.
 
-use litsearch::context_search::persist::{
-    load_snapshot, prestige_from_json, save_snapshot, PrestigeFile,
-};
+use litsearch::context_search::persist::{load_snapshot, save_snapshot};
 use litsearch::context_search::search::{relevancy, select_contexts};
 use litsearch::context_search::{
-    ContextPaperSets, ContextSearchEngine, EngineConfig, PrestigeScores, ScoreFunction,
-    SearchResult,
+    ContextPaperSets, ContextSetKind, EngineConfig, EngineSnapshot, PrestigeScores, ScoreFunction,
+    SearchResult, Searcher,
 };
 use litsearch::corpus::PaperId;
-use litsearch::demo::{configs, engine, snapshot, Scale};
+use litsearch::demo::{snapshot, snapshot_with, Scale};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// The pre-columnar execution algorithm, reference copy.
 fn reference_search(
-    e: &ContextSearchEngine,
+    e: &EngineSnapshot,
     sets: &ContextPaperSets,
     prestige: &PrestigeScores,
     query: &str,
@@ -97,7 +95,7 @@ fn assert_bitwise_eq(a: &[SearchResult], b: &[SearchResult], tag: &str) {
 /// A query mix that exercises every execution shape: exact term names
 /// (dense candidate overlap), multi-term paraphrases, an unknown word,
 /// and the empty query.
-fn query_mix(e: &ContextSearchEngine) -> Vec<String> {
+fn query_mix(e: &EngineSnapshot) -> Vec<String> {
     let onto = e.ontology();
     let mut queries: Vec<String> = onto
         .term_ids()
@@ -120,20 +118,21 @@ const LIMITS: [usize; 5] = [0, 1, 3, 10, 100];
 
 #[test]
 fn columnar_execution_matches_reference_bit_for_bit() {
+    let pairs = [
+        (ContextSetKind::PatternBased, ScoreFunction::Pattern),
+        (ContextSetKind::PatternBased, ScoreFunction::Citation),
+        (ContextSetKind::TextBased, ScoreFunction::Text),
+    ];
     for seed in [9, 40] {
-        let e = engine(Scale::Tiny, seed);
-        let psets = e.pattern_context_sets();
-        let tsets = e.text_context_sets();
-        for (sets, function, tag) in [
-            (&psets, ScoreFunction::Pattern, "pattern/pattern"),
-            (&psets, ScoreFunction::Citation, "pattern/citation"),
-            (&tsets, ScoreFunction::Text, "text/text"),
-        ] {
-            let prestige = e.prestige(sets, function);
+        let e = snapshot_with(Scale::Tiny, seed, &pairs);
+        let searcher = e.searcher();
+        for (kind, function) in pairs {
+            let (sets, prestige) = (e.sets(kind), e.prestige(kind, function).unwrap());
+            let tag = format!("{}/{}", kind.name(), function.name());
             for q in query_mix(&e) {
                 for limit in LIMITS {
-                    let columnar = e.search(&q, sets, &prestige, limit);
-                    let reference = reference_search(&e, sets, &prestige, &q, limit);
+                    let columnar = searcher.query(&q, kind, function, limit).unwrap();
+                    let reference = reference_search(&e, sets, prestige, &q, limit);
                     assert_bitwise_eq(
                         &columnar,
                         &reference,
@@ -149,24 +148,23 @@ fn columnar_execution_matches_reference_bit_for_bit() {
 fn columnar_execution_is_identical_across_8_threads() {
     // Each thread has its own scratch pool; results must not depend on
     // which thread (or how warm a scratch) executes the query.
-    let e = engine(Scale::Tiny, 9);
-    let sets = e.pattern_context_sets();
-    let prestige = e.prestige(&sets, ScoreFunction::Pattern);
-    let queries = query_mix(&e);
+    let (searcher, pair) = shared_searcher();
+    let e = searcher.snapshot();
+    let (sets, prestige) = (e.sets(pair.0), e.prestige(pair.0, pair.1).unwrap());
+    let queries = query_mix(e);
     let reference: Vec<Vec<SearchResult>> = queries
         .iter()
-        .map(|q| reference_search(&e, &sets, &prestige, q, 10))
+        .map(|q| reference_search(e, sets, prestige, q, 10))
         .collect();
     std::thread::scope(|scope| {
         for worker in 0..8 {
-            let (e, sets, prestige, queries, reference) =
-                (&e, &sets, &prestige, &queries, &reference);
+            let (queries, reference) = (&queries, &reference);
             scope.spawn(move || {
                 // Interleave repeats so scratch reuse (epoch bumping)
                 // is exercised against every query shape.
                 for round in 0..3 {
                     for (q, want) in queries.iter().zip(reference) {
-                        let got = e.search(q, sets, prestige, 10);
+                        let got = searcher.query(q, pair.0, pair.1, 10).unwrap();
                         assert_bitwise_eq(
                             &got,
                             want,
@@ -180,100 +178,45 @@ fn columnar_execution_is_identical_across_8_threads() {
 }
 
 #[test]
-fn warm_snapshots_v2_and_v1_match_the_cold_reference() {
-    let seed = 9;
-    let snap = snapshot(Scale::Tiny, seed);
+fn warm_snapshot_matches_the_cold_reference() {
+    let snap = snapshot(Scale::Tiny, 9);
     let dir = std::env::temp_dir().join(format!("litsearch_execdiff_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     save_snapshot(&snap, &dir).expect("save");
+    let warm = load_snapshot(&dir, EngineConfig::default()).expect("load");
 
-    // The same (ontology, corpus, config) built cold drives the
-    // reference implementation.
-    let (ocfg, ccfg) = configs(Scale::Tiny, seed);
-    let onto = litsearch::ontology::generate_ontology(&ocfg);
-    let corp = litsearch::corpus::generate_corpus(&onto, &ccfg);
-    let e = ContextSearchEngine::build(onto, corp, EngineConfig::default());
-
-    let v2 = load_snapshot(&dir, EngineConfig::default()).expect("v2 load");
-
-    // Downgrade the directory to the version-1 layout: pair-shaped
-    // prestige files and a version-1 header — what an old deployment's
-    // snapshots look like on disk.
+    // The in-memory snapshot's own tables drive the reference
+    // implementation; the warm-loaded copy serves through the
+    // columnar path.
+    let searcher = warm.searcher();
     for (kind, function) in snap.pairs() {
-        let path = dir.join(format!("prestige_{}_{}.json", kind.name(), function.name()));
-        let table = prestige_from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let v1_file = PrestigeFile {
-            function: table.function.name().to_string(),
-            scores: table
-                .contexts()
-                .map(|c| {
-                    (
-                        c.0,
-                        table.scores(c).iter().map(|&(p, s)| (p.0, s)).collect(),
-                    )
-                })
-                .collect(),
-        };
-        std::fs::write(&path, serde_json::to_string(&v1_file).unwrap()).unwrap();
-    }
-    let header_path = dir.join("snapshot.json");
-    let header = std::fs::read_to_string(&header_path).unwrap();
-    assert!(header.contains("\"version\": 2"), "{header}");
-    std::fs::write(
-        &header_path,
-        header.replace("\"version\": 2", "\"version\": 1"),
-    )
-    .unwrap();
-    let v1 = load_snapshot(&dir, EngineConfig::default()).expect("v1 load");
-
-    let (sv2, sv1) = (v2.searcher(), v1.searcher());
-    let text_sets = e.text_context_sets();
-    for (kind, function) in snap.pairs() {
-        let sets = match kind {
-            litsearch::context_search::ContextSetKind::TextBased => e.text_context_sets(),
-            litsearch::context_search::ContextSetKind::PatternBased => e.pattern_context_sets(),
-        };
-        // Mirror the prepare plan: the (pattern, text) table is scored
-        // over a view of the pattern sets carrying the text set's
-        // representatives (membership is identical, so propagation over
-        // the view matches prepare's propagation over the plain set).
-        let prestige = if (kind, function)
-            == (
-                litsearch::context_search::ContextSetKind::PatternBased,
-                ScoreFunction::Text,
-            ) {
-            let mut view = sets.clone();
-            view.representatives = text_sets.representatives.clone();
-            e.prestige(&view, function)
-        } else {
-            e.prestige(&sets, function)
-        };
-        for q in query_mix(&e) {
+        let (sets, prestige) = (snap.sets(kind), snap.prestige(kind, function).unwrap());
+        for q in query_mix(&snap) {
             for limit in [0usize, 10] {
-                let want = reference_search(&e, &sets, &prestige, &q, limit);
-                let got_v2 = sv2.query(&q, kind, function, limit).expect("v2 query");
-                let got_v1 = sv1.query(&q, kind, function, limit).expect("v1 query");
+                let want = reference_search(&snap, sets, prestige, &q, limit);
+                let got = searcher
+                    .query(&q, kind, function, limit)
+                    .expect("warm query");
                 let tag = format!(
                     "{}/{} limit {limit} query {q:?}",
                     kind.name(),
                     function.name()
                 );
-                assert_bitwise_eq(&got_v2, &want, &format!("v2 snapshot vs reference: {tag}"));
-                assert_bitwise_eq(&got_v1, &got_v2, &format!("v1 snapshot vs v2: {tag}"));
+                assert_bitwise_eq(&got, &want, &format!("warm snapshot vs reference: {tag}"));
             }
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-fn shared_engine() -> &'static (ContextSearchEngine, ContextPaperSets, PrestigeScores) {
-    static CELL: std::sync::OnceLock<(ContextSearchEngine, ContextPaperSets, PrestigeScores)> =
+/// One (pattern, pattern) searcher shared by the tests that only read
+/// that table.
+fn shared_searcher() -> &'static (Searcher, (ContextSetKind, ScoreFunction)) {
+    static CELL: std::sync::OnceLock<(Searcher, (ContextSetKind, ScoreFunction))> =
         std::sync::OnceLock::new();
     CELL.get_or_init(|| {
-        let e = engine(Scale::Tiny, 17);
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Pattern);
-        (e, sets, prestige)
+        let pair = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+        (snapshot_with(Scale::Tiny, 17, &[pair]).searcher(), pair)
     })
 }
 
@@ -290,9 +233,9 @@ proptest! {
         query in "[a-z ]{2,30}",
         limit in 1usize..40,
     ) {
-        let (e, sets, prestige) = shared_engine();
-        let full = e.search(&query, sets, prestige, 0);
-        let bounded = e.search(&query, sets, prestige, limit);
+        let (searcher, (kind, function)) = shared_searcher();
+        let full = searcher.query(&query, *kind, *function, 0).unwrap();
+        let bounded = searcher.query(&query, *kind, *function, limit).unwrap();
         prop_assert_eq!(bounded.len(), full.len().min(limit));
         for (i, (x, y)) in bounded.iter().zip(&full).enumerate() {
             prop_assert_eq!(x.paper, y.paper, "rank {} of query {:?}", i, &query);

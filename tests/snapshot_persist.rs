@@ -57,8 +57,8 @@ fn warm_loaded_snapshot_reproduces_search_results_exactly() {
         }
         // The baseline path agrees too (vocabulary round-tripped).
         assert_eq!(
-            cold.keyword_search(&queries[0], 0.05),
-            warm.keyword_search(&queries[0], 0.05)
+            snap.keyword_search(&queries[0], 0.05),
+            loaded.keyword_search(&queries[0], 0.05)
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,7 +1,11 @@
 //! Cross-crate contract tests: generated artifacts must survive the
 //! exchange formats (OBO, MEDLINE, JSON) and still drive the engine.
 
-use litsearch::context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use litsearch::context_search::assign::{build_pattern_sets, patterns_by_context};
+use litsearch::context_search::indexes::CorpusIndex;
+use litsearch::context_search::{
+    ContextPaperSets, ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction,
+};
 use litsearch::corpus::medline::{parse_medline, write_medline};
 use litsearch::corpus::{generate_corpus, Corpus, CorpusConfig};
 use litsearch::ontology::export::subontology;
@@ -27,6 +31,15 @@ fn small_corpus(onto: &litsearch::ontology::Ontology) -> Corpus {
             ..Default::default()
         },
     )
+}
+
+/// The pattern-based context sets, built by the prepare plan's stage
+/// functions without any prestige table.
+fn pattern_sets(onto: &litsearch::ontology::Ontology, corpus: &Corpus) -> ContextPaperSets {
+    let config = EngineConfig::default();
+    let index = CorpusIndex::build(onto, corpus, &config.pagerank);
+    let patterns = patterns_by_context(onto, corpus, &index, &config);
+    build_pattern_sets(onto, corpus, &index, &patterns, &config)
 }
 
 #[test]
@@ -93,21 +106,23 @@ fn engine_runs_on_medline_imported_corpus() {
         Default::default(),
         &term_names,
     );
-    let engine = ContextSearchEngine::build(onto, rebuilt, EngineConfig::default());
+    let pair = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+    let snap = EngineSnapshot::prepare_with(
+        onto,
+        rebuilt,
+        EngineConfig::default(),
+        PrepareOptions { pairs: vec![pair] },
+    );
     // Text sets need evidence → none; pattern sets still work from the
     // term names alone.
-    let tsets = engine.text_context_sets();
+    let tsets = snap.sets(ContextSetKind::TextBased);
     assert_eq!(tsets.n_contexts(), 0, "no evidence ⇒ no text contexts");
-    let psets = engine.pattern_context_sets();
+    let psets = snap.sets(ContextSetKind::PatternBased);
     assert!(psets.n_contexts() > 0, "patterns need no evidence");
-    let prestige = engine.prestige(&psets, ScoreFunction::Pattern);
-    let term = engine
-        .ontology()
-        .term_ids()
-        .find(|&t| engine.ontology().level(t) == 3)
-        .unwrap();
-    let q = engine.ontology().term(term).name.clone();
-    let hits = engine.search(&q, &psets, &prestige, 5);
+    let onto = snap.ontology();
+    let term = onto.term_ids().find(|&t| onto.level(t) == 3).unwrap();
+    let q = onto.term(term).name.clone();
+    let hits = snap.searcher().query(&q, pair.0, pair.1, 5).unwrap();
     assert!(!hits.is_empty(), "search works on imported data");
 }
 
@@ -119,10 +134,8 @@ fn corpus_json_round_trip_preserves_search_behavior() {
     let json = corpus.to_json(&term_names);
     let reloaded = Corpus::from_json(&json).unwrap();
 
-    let e1 = ContextSearchEngine::build(onto.clone(), corpus, EngineConfig::default());
-    let e2 = ContextSearchEngine::build(onto, reloaded, EngineConfig::default());
-    let s1 = e1.pattern_context_sets();
-    let s2 = e2.pattern_context_sets();
+    let s1 = pattern_sets(&onto, &corpus);
+    let s2 = pattern_sets(&onto, &reloaded);
     assert_eq!(s1.n_contexts(), s2.n_contexts());
     for c in s1.contexts() {
         assert_eq!(s1.members(c), s2.members(c), "context {c}");
@@ -151,8 +164,7 @@ fn subontology_supports_branch_scale_experiments() {
             ..Default::default()
         },
     );
-    let engine = ContextSearchEngine::build(sub, corpus, EngineConfig::default());
-    let sets = engine.pattern_context_sets();
+    let sets = pattern_sets(&sub, &corpus);
     assert!(sets.n_contexts() > 0);
     // Every mapped id round-trips to a valid original term.
     for &old in &mapping {
