@@ -45,6 +45,42 @@ fn level3_query(snap: &EngineSnapshot) -> String {
     onto.term(term).name.clone()
 }
 
+/// A one-word query that few papers hold but whose selected contexts
+/// have long prestige columns: the name word with the most column
+/// entries per keyword candidate. Rank reads every entry of those
+/// columns to find a handful of candidates.
+fn rare_word_in_broad_contexts(searcher: &Searcher) -> String {
+    let table = searcher.prestige(PAIR.0, PAIR.1).expect("prepared pair");
+    let (onto, corp, model) = (
+        searcher.ontology(),
+        searcher.corpus(),
+        &searcher.index().model,
+    );
+    let entries_per_candidate = |word: &str| -> Option<f64> {
+        let [t] = corp.analyze_known(word)[..] else {
+            return None;
+        };
+        let selected = searcher.select_contexts(word, searcher.sets(PAIR.0));
+        let entries: usize = selected
+            .iter()
+            .map(|&(c, _)| table.columns(c).0.len())
+            .sum();
+        (model.df(t) > 0).then(|| entries as f64 / model.df(t) as f64)
+    };
+    let mut words: Vec<&str> = onto
+        .term_ids()
+        .flat_map(|t| onto.term(t).name.split_whitespace())
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    words
+        .into_iter()
+        .filter_map(|w| Some((entries_per_candidate(w)?, w)))
+        .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(a.1)))
+        .map(|(_, w)| w.to_string())
+        .expect("a name word that some paper holds")
+}
+
 fn bench_pipeline(c: &mut Criterion) {
     let snap = build_snapshot();
     let (onto, corp, index, config) = (snap.ontology(), snap.corpus(), snap.index(), snap.config());
@@ -79,6 +115,10 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
     group.bench_function("context_search", |b| {
         b.iter(|| black_box(search(&searcher, black_box(&query))))
+    });
+    let rare = rare_word_in_broad_contexts(&searcher);
+    group.bench_function("context_search/rare_word_broad_contexts", |b| {
+        b.iter(|| black_box(search(&searcher, black_box(&rare))))
     });
     group.bench_function("keyword_baseline", |b| {
         b.iter(|| black_box(snap.keyword_search(black_box(&query), 0.0)))

@@ -5,6 +5,7 @@
 //! adjacency, and the analyzed ontology-term names.
 
 use crate::config::TextSimWeights;
+use crate::context::ContextId;
 use citegraph::{pagerank, CitationGraph, PageRankConfig};
 use corpus::{AuthorId, Corpus, PaperId, Section};
 use ontology::Ontology;
@@ -34,13 +35,12 @@ pub struct CorpusIndex {
     pub coauthors: HashMap<AuthorId, HashSet<AuthorId>>,
     /// Analyzed term-name tokens per ontology term (corpus vocabulary).
     pub term_name_tokens: Vec<Vec<TermId>>,
-    /// Sorted, deduped name tokens per term — the prepared column
-    /// behind context selection, so the query path never re-sorts a
-    /// name.
-    pub name_terms_sorted: Vec<Vec<TermId>>,
-    /// IDF mass of each term's name, summed in ascending term order at
-    /// build time (bit-identical to summing the sorted tokens per
-    /// query, which is what selection used to do).
+    /// Name postings: for each word, by vocabulary id, the contexts
+    /// whose names contain it, ascending. Read through
+    /// [`contexts_naming`](Self::contexts_naming).
+    name_postings: Vec<Vec<ContextId>>,
+    /// IDF mass of each term's name: its distinct words' IDF, summed in
+    /// ascending word order at build time.
     pub name_idf_mass: Vec<f64>,
     /// Word selectivity across all term names (§3.3 TotalTermScore).
     pub selectivity: Selectivity,
@@ -127,19 +127,20 @@ impl CorpusIndex {
             .map(|t| corpus.analyze_known(&ontology.term(t).name))
             .collect();
         let selectivity = Selectivity::new(term_name_tokens.iter().map(Vec::as_slice));
-        let name_terms_sorted: Vec<Vec<TermId>> = term_name_tokens
-            .iter()
-            .map(|name| {
-                let mut terms = name.clone();
-                terms.sort_unstable();
-                terms.dedup();
-                terms
-            })
-            .collect();
-        let name_idf_mass: Vec<f64> = name_terms_sorted
-            .iter()
-            .map(|terms| terms.iter().map(|&t| model.idf(t)).sum())
-            .collect();
+        let mut name_postings: Vec<Vec<ContextId>> = Vec::new();
+        let mut name_idf_mass: Vec<f64> = Vec::with_capacity(term_name_tokens.len());
+        for (context, name) in ontology.term_ids().zip(&term_name_tokens) {
+            let mut words = name.clone();
+            words.sort_unstable();
+            words.dedup();
+            for &w in &words {
+                if w.index() >= name_postings.len() {
+                    name_postings.resize_with(w.index() + 1, Vec::new);
+                }
+                name_postings[w.index()].push(context);
+            }
+            name_idf_mass.push(words.iter().map(|&w| model.idf(w)).sum());
+        }
         drop(_aux);
 
         Self {
@@ -152,10 +153,19 @@ impl CorpusIndex {
             global_pagerank,
             coauthors,
             term_name_tokens,
-            name_terms_sorted,
+            name_postings,
             name_idf_mass,
             selectivity,
         }
+    }
+
+    /// The contexts whose names contain `word`, ascending (empty for a
+    /// word in no name). Context selection walks the query's words here
+    /// instead of testing every context's name.
+    pub fn contexts_naming(&self, word: TermId) -> &[ContextId] {
+        self.name_postings
+            .get(word.index())
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Unit-norm query vector over the whole-paper model (unknown words
@@ -175,11 +185,12 @@ impl CorpusIndex {
             .collect()
     }
 
-    /// Columnar keyword search into a reusable scratch: candidate doc
-    /// ids ascending, scores parallel. Same candidate set and score
-    /// bits as [`keyword_search`](Self::keyword_search), minus the
-    /// descending sort (the caller's ranking stage replaces it) and
-    /// the per-call allocation.
+    /// Keyword search into a reusable scratch, which then answers each
+    /// paper's score by lookup ([`CandidateScratch::score`]). Same
+    /// candidate set and score bits as
+    /// [`keyword_search`](Self::keyword_search), minus the descending
+    /// sort (the caller's ranking stage replaces it) and the per-call
+    /// allocation.
     pub fn keyword_search_columns(
         &self,
         query: &SparseVector,

@@ -181,7 +181,10 @@ pub fn context_sets_to_json(sets: &ContextPaperSets) -> Result<String, PersistEr
 /// Load context paper sets from JSON produced by
 /// [`context_sets_to_json`].
 pub fn context_sets_from_json(json: &str) -> Result<ContextPaperSets, PersistError> {
-    let file: ContextSetsFile = serde_json::from_str(json)?;
+    context_sets_from_file(serde_json::from_str(json)?)
+}
+
+fn context_sets_from_file(file: ContextSetsFile) -> Result<ContextPaperSets, PersistError> {
     let kind = match file.kind.as_str() {
         "text" => ContextSetKind::TextBased,
         "pattern" => ContextSetKind::PatternBased,
@@ -279,6 +282,31 @@ fn function_from_name(name: &str) -> Result<ScoreFunction, PersistError> {
         "pattern" => Ok(ScoreFunction::Pattern),
         other => Err(PersistError::UnknownTag(other.to_string())),
     }
+}
+
+/// Check one column of the payload file `name` against the header:
+/// its context must be an ontology term and its papers corpus papers.
+/// A query reads these entries as they stand, so an entry past the
+/// ontology or the corpus is refused here rather than misread there.
+fn check_column(
+    name: &str,
+    header: &SnapshotHeader,
+    context: u32,
+    papers: impl IntoIterator<Item = u32>,
+) -> Result<(), PersistError> {
+    if context as usize >= header.terms {
+        return Err(PersistError::Corrupt(format!(
+            "{name}: context {context} is past the header's {} terms",
+            header.terms
+        )));
+    }
+    if let Some(p) = papers.into_iter().find(|&p| p as usize >= header.papers) {
+        return Err(PersistError::Corrupt(format!(
+            "{name}: context {context} names paper {p}, past the header's {} papers",
+            header.papers
+        )));
+    }
+    Ok(())
 }
 
 /// Write a full snapshot directory: header, ontology, corpus, both
@@ -387,7 +415,18 @@ pub fn load_snapshot(
     let mut sets_by_kind: HashMap<ContextSetKind, ContextPaperSets> = HashMap::new();
     for kind in [ContextSetKind::TextBased, ContextSetKind::PatternBased] {
         let name = sets_file_name(kind);
-        let sets = context_sets_from_json(&read_file(&dir.join(&name))?)?;
+        let file: ContextSetsFile = serde_json::from_str(&read_file(&dir.join(&name))?)?;
+        for (c, members) in &file.members {
+            check_column(&name, &header, *c, members.iter().copied())?;
+        }
+        for &(c, p) in &file.representatives {
+            check_column(&name, &header, c, [p])?;
+        }
+        for &(c, ancestor) in &file.inherited_from {
+            check_column(&name, &header, c, [])?;
+            check_column(&name, &header, ancestor, [])?;
+        }
+        let sets = context_sets_from_file(file)?;
         if sets.kind != kind {
             return Err(PersistError::Corrupt(format!(
                 "{name} holds a {:?} set",
@@ -407,6 +446,21 @@ pub fn load_snapshot(
                 "{name} holds a {} table",
                 table.function.name()
             )));
+        }
+        for (c, papers, _) in table.iter_columns() {
+            // The columns are ascending: the last paper is the largest,
+            // and a repeat sits next to its first entry.
+            check_column(&name, &header, c.0, papers.last().map(|p| p.0))?;
+            if let Some((p, _)) = papers
+                .iter()
+                .zip(papers.iter().skip(1))
+                .find(|(a, b)| a == b)
+            {
+                return Err(PersistError::Corrupt(format!(
+                    "{name}: context {} lists paper {} twice",
+                    c.0, p.0
+                )));
+            }
         }
         prestige.insert((kind, function), table);
     }

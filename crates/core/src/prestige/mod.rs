@@ -37,11 +37,14 @@ impl ScoreFunction {
 ///
 /// Stored columnar: one CSR-style arena where `contexts` (ascending)
 /// and `offsets` slice the shared `papers`/`values` columns, with
-/// `papers` ascending within each context. The serve path reads the
-/// two parallel columns of a context directly via [`columns`] and
-/// merge-intersects them against the candidate column — no per-query
-/// hashing, no pointer chasing. The map-shaped [`new`] constructor
-/// remains the builder API for the offline score functions.
+/// `papers` ascending within each context. The serve path walks the
+/// two parallel columns of a context directly via [`columns`], in
+/// ascending paper order, and looks each paper up among the query's
+/// keyword candidates — no per-query hashing, no pointer chasing. The
+/// map-shaped [`new`] constructor remains the builder API for the
+/// offline score functions; it does not reject a paper listed twice or
+/// past the corpus (the snapshot loader does), and the serve path
+/// scores such a paper at its first entry or not at all.
 ///
 /// [`columns`]: PrestigeScores::columns
 /// [`new`]: PrestigeScores::new

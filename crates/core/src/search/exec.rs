@@ -18,6 +18,7 @@ use crate::search::scratch::with_scratch;
 use crate::search::select::select_contexts;
 use corpus::{Corpus, PaperId};
 use ontology::Ontology;
+use textproc::TermId;
 
 /// One ranked context-based search result.
 #[derive(Debug, Clone, Copy)]
@@ -77,8 +78,14 @@ pub(crate) struct QueryParts<'a> {
 }
 
 impl QueryParts<'_> {
-    /// Task 3: select the contexts a query should search.
-    pub fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
+    /// Task 3: select the contexts a query should search. The query's
+    /// known words come back too, so that a search analyzes its query
+    /// once.
+    pub fn select_contexts(
+        &self,
+        query: &str,
+        sets: &ContextPaperSets,
+    ) -> (Vec<TermId>, Vec<(ContextId, f64)>) {
         let _span = obs::span("search.select_contexts");
         let tokens = self.corpus.analyze_known(query);
         let selected = select_contexts(&tokens, self.index, sets, &self.config.selection);
@@ -107,7 +114,7 @@ impl QueryParts<'_> {
                 );
             }
         }
-        selected
+        (tokens, selected)
     }
 
     /// Tasks 4 + 5: search within the selected contexts and rank by
@@ -145,8 +152,8 @@ impl QueryParts<'_> {
                 ],
             );
         }
-        let qvec = self.index.query_vector(self.corpus, query);
-        let contexts = self.select_contexts(query, sets);
+        let (tokens, contexts) = self.select_contexts(query, sets);
+        let qvec = self.index.model.vectorize_normalized(&tokens);
         with_scratch(|scratch| {
             scratch.begin(self.corpus.len());
             {

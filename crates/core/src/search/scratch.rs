@@ -1,5 +1,5 @@
 //! Per-thread query execution scratch: dense score/context arrays, the
-//! candidate-column accumulator, and the bounded top-k selector.
+//! keyword-candidate accumulator, and the bounded top-k selector.
 //!
 //! One [`QueryScratch`] per worker thread makes the serve path
 //! allocation-light without any cross-thread state: the pool is a
@@ -10,26 +10,31 @@
 //! the current query's epoch, so consecutive queries skip O(n_papers)
 //! zeroing.
 //!
-//! # Merge-intersection invariants
+//! # Stamp-lookup invariant
 //!
-//! [`QueryScratch::score_context`] intersects two id-sorted columns —
-//! a context's prestige papers and the query's keyword candidates —
-//! and visits every common id in **ascending paper order**, whichever
-//! of the three strategies (linear two-pointer, or binary-probing the
-//! larger side when the size ratio exceeds [`GALLOP_RATIO`]) runs.
-//! Combined with contexts being scored in selection order, the update
-//! sequence against the dense best-result arrays is exactly the old
-//! HashMap path's insertion/`and_modify` sequence, which is what keeps
-//! ranked output byte-identical.
+//! [`QueryScratch::score_context`] walks one context's prestige column
+//! in its stored, **ascending paper order** and reads each paper's
+//! candidate stamp and score straight from the [`CandidateScratch`] —
+//! the candidates are never sorted. It scores the same (context, paper)
+//! pairs in the same order as an intersection of two sorted columns
+//! would, and a paper that a column repeats is scored once, at its
+//! first entry. Combined with contexts being scored in selection order,
+//! the update sequence against the dense best-result arrays is exactly
+//! the old HashMap path's insertion/`and_modify` sequence, which is
+//! what keeps ranked output byte-identical.
 //!
 //! # Why plain indexing is safe here
 //!
 //! The dense arrays are sized by [`QueryScratch::begin`] to the corpus
-//! paper count, and a paper can only be *visited* if its id equals a
-//! candidate doc id — candidates come from the inverted index, whose
-//! doc ids are `< n_docs == n_papers` by construction. Prestige entries
-//! for out-of-range papers (e.g. a hand-corrupted snapshot) simply
-//! never intersect a candidate, so they cannot reach the dense arrays.
+//! paper count, and a paper is only *visited* when the candidate
+//! lookup finds it live — only doc ids the inverted index stamped for
+//! this query are, and those are `< n_docs == n_papers` by
+//! construction. The lookup itself is bounds-checked, so a prestige
+//! entry past the corpus (a table installed through
+//! [`Searcher::with_prestige_override`]) is no candidate rather than a
+//! panic; the snapshot loader refuses such entries outright.
+//!
+//! [`Searcher::with_prestige_override`]: crate::search::Searcher::with_prestige_override
 
 use crate::config::RelevancyWeights;
 use crate::context::ContextId;
@@ -45,14 +50,10 @@ use std::collections::BinaryHeap;
 use textproc::index::DocId;
 use textproc::{CandidateScratch, SparseVector};
 
-/// When one column is this many times longer than the other, probe the
-/// longer one by binary search instead of stepping it linearly.
-const GALLOP_RATIO: usize = 32;
-
 /// Reusable per-thread state for one query execution.
 #[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
-    /// Keyword-candidate accumulator and output columns.
+    /// Keyword-candidate accumulator.
     candidates: CandidateScratch,
     /// Best relevancy per paper (live iff `stamp` matches `epoch`).
     rel: Vec<f64>,
@@ -93,9 +94,9 @@ impl QueryScratch {
         }
     }
 
-    /// Run the keyword match into the candidate columns (ascending doc
-    /// id, scores parallel). Same candidate set and score bits as the
-    /// map-shaped `keyword_search(query, 0.0)` path.
+    /// Run the keyword match into the candidate accumulator. Same
+    /// candidate set and score bits as the map-shaped
+    /// `keyword_search(query, 0.0)` path.
     pub fn gather_candidates(&mut self, index: &CorpusIndex, query: &SparseVector) {
         index.keyword_search_columns(query, 0.0, &mut self.candidates);
     }
@@ -110,10 +111,10 @@ impl QueryScratch {
         self.touched.len()
     }
 
-    /// Merge-intersect one context's prestige columns with the
-    /// candidate columns, folding each common paper's relevancy into
-    /// the dense best-result arrays. Returns the number of (context,
-    /// paper) pairs scored.
+    /// Walk one context's prestige columns and fold each candidate
+    /// paper's relevancy into the dense best-result arrays (see the
+    /// module's stamp-lookup invariant). Returns the number of
+    /// (context, paper) pairs scored.
     pub fn score_context(
         &mut self,
         prestige: &PrestigeScores,
@@ -131,18 +132,23 @@ impl QueryScratch {
             epoch,
             touched,
         } = self;
-        let (docs, dscores) = candidates.columns();
         let cur = *epoch;
-        let np = papers.len();
-        let nd = docs.len();
-        if np == 0 || nd == 0 {
-            return 0;
-        }
         let mut pairs = 0u64;
-        // The visit order is ascending paper id under every strategy,
-        // so the first-wins `r > rel[p]` update below reproduces the
-        // HashMap path's entry order exactly.
-        let mut visit = |paper: PaperId, pscore: f64, m: f64| {
+        let mut last = None;
+        for (&paper, &pscore) in papers.iter().zip(values) {
+            // The column is ascending, so a repeated paper is adjacent
+            // to its first entry.
+            if last == Some(paper) {
+                continue;
+            }
+            last = Some(paper);
+            let Some(m) = candidates.score(DocId(paper.0)) else {
+                continue;
+            };
+            pairs += 1;
+            // First touch writes all four arrays; a later context wins
+            // only on strictly greater relevancy, as the HashMap path's
+            // `and_modify` did.
             let r = relevancy(pscore, m, weights);
             let i = paper.index();
             if stamp[i] != cur {
@@ -156,50 +162,6 @@ impl QueryScratch {
                 rel[i] = r;
                 pres[i] = pscore;
                 ctx[i] = context;
-            }
-        };
-        if np.saturating_mul(GALLOP_RATIO) < nd {
-            // Sparse context, broad query: probe the candidate column.
-            let mut lo = 0usize;
-            for (k, &p) in papers.iter().enumerate() {
-                let target = DocId(p.0);
-                let at = lo + docs[lo..].partition_point(|&d| d < target);
-                lo = at;
-                if at < nd && docs[at] == target {
-                    visit(p, values[k], dscores[at]);
-                    pairs += 1;
-                    lo = at + 1;
-                }
-            }
-        } else if nd.saturating_mul(GALLOP_RATIO) < np {
-            // Broad context, narrow query: probe the prestige column.
-            let mut lo = 0usize;
-            for (j, &d) in docs.iter().enumerate() {
-                let target = PaperId(d.0);
-                let at = lo + papers[lo..].partition_point(|&p| p < target);
-                lo = at;
-                if at < np && papers[at] == target {
-                    visit(target, values[at], dscores[j]);
-                    pairs += 1;
-                    lo = at + 1;
-                }
-            }
-        } else {
-            // Comparable sizes: linear two-pointer merge.
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < np && j < nd {
-                let p = papers[i].0;
-                let d = docs[j].0;
-                match p.cmp(&d) {
-                    Ordering::Less => i += 1,
-                    Ordering::Greater => j += 1,
-                    Ordering::Equal => {
-                        visit(papers[i], values[i], dscores[j]);
-                        pairs += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
             }
         }
         pairs
@@ -379,6 +341,46 @@ mod tests {
         s.touched.push(PaperId(7));
         let (second, _) = s.ranked(0);
         assert_eq!(ids(&second), vec![PaperId(7)]);
+    }
+
+    /// A begun scratch whose keyword candidates are papers `0..n`, each
+    /// with the same match score: an index of `n` documents holding word
+    /// 0 and one more holding word 1, queried for word 0.
+    fn scratch_with_candidates(n: usize) -> QueryScratch {
+        use textproc::{InvertedIndex, TermId as Word, TfIdfModel};
+        let mut docs = vec![vec![Word(0)]; n];
+        docs.push(vec![Word(1)]);
+        let model = TfIdfModel::fit(docs.iter().map(Vec::as_slice));
+        let vectors: Vec<SparseVector> =
+            docs.iter().map(|d| model.vectorize_normalized(d)).collect();
+        let mut s = QueryScratch::new();
+        s.begin(docs.len());
+        InvertedIndex::build(&vectors).search_columns(
+            &model.vectorize_normalized(&[Word(0)]),
+            0.0,
+            &mut s.candidates,
+        );
+        assert_eq!(s.n_candidates(), n);
+        s
+    }
+
+    #[test]
+    fn override_tables_score_a_repeated_paper_once_and_skip_papers_past_the_corpus() {
+        // `PrestigeScores::new` takes any lists, as an override table
+        // does: paper 2 twice, and a paper far past the 5-paper corpus.
+        let c = TermId(7);
+        let lists = [(PaperId(2), 0.5), (PaperId(99_999), 1.0), (PaperId(2), 0.5)];
+        let table = PrestigeScores::new(
+            [(c, lists.to_vec())].into_iter().collect(),
+            crate::prestige::ScoreFunction::Pattern,
+        );
+        let mut s = scratch_with_candidates(4);
+        let pairs = s.score_context(&table, c, &RelevancyWeights::default());
+        assert_eq!(pairs, 1, "paper 2 once, paper 99,999 never");
+        let (hits, _) = s.ranked(0);
+        assert_eq!(ids(&hits), vec![PaperId(2)]);
+        assert_eq!(hits[0].prestige, 0.5);
+        assert_eq!(hits[0].context, c);
     }
 
     #[test]

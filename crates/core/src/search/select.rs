@@ -18,21 +18,23 @@ use textproc::TermId;
 /// `(context, match score)` pairs, best first, filtered and truncated
 /// per `config`.
 ///
-/// Per-context state is fully prepared at index build time
-/// ([`CorpusIndex::name_terms_sorted`] and
-/// [`CorpusIndex::name_idf_mass`]): the only per-call work is sorting
-/// the query's own tokens and one binary search per name token.
+/// Only contexts that share a word with the query are looked at: the
+/// query's distinct words, walked in ascending order, each add their
+/// IDF to the contexts of their [name postings]. Each name's IDF mass
+/// is prepared at index build ([`CorpusIndex::name_idf_mass`]).
+///
+/// [name postings]: CorpusIndex::contexts_naming
 pub fn select_contexts(
     query_tokens: &[TermId],
     index: &CorpusIndex,
     sets: &ContextPaperSets,
     config: &SelectionConfig,
 ) -> Vec<(ContextId, f64)> {
-    // IDF masses are summed in ascending term order — the query mass
-    // here, the prepared name masses at build. Summing over hash-set
-    // iteration would give each thread its own ULP-level rounding
-    // (per-thread hash seeds), letting near-tied contexts swap ranks
-    // across serving threads.
+    // IDF masses are summed in ascending word order — the query mass
+    // and every context's shared mass here, the prepared name masses at
+    // build. Summing over hash-set iteration would give each thread its
+    // own ULP-level rounding (per-thread hash seeds), letting near-tied
+    // contexts swap ranks across serving threads.
     let mut query_terms: Vec<TermId> = query_tokens.to_vec();
     query_terms.sort_unstable();
     query_terms.dedup();
@@ -40,19 +42,27 @@ pub fn select_contexts(
         return Vec::new();
     }
     let query_mass: f64 = query_terms.iter().map(|&t| index.model.idf(t)).sum();
-    let mut scored: Vec<(ContextId, f64)> = sets
-        .contexts()
-        .filter_map(|c| {
-            let name_terms = index.name_terms_sorted.get(c.index())?;
-            if name_terms.is_empty() {
-                return None;
+    // Shared mass per context, `None` until a query word names it.
+    let mut shared: Vec<Option<f64>> = vec![None; index.name_idf_mass.len()];
+    let mut named: Vec<ContextId> = Vec::new();
+    for &t in &query_terms {
+        let idf = index.model.idf(t);
+        for &c in index.contexts_naming(t) {
+            match shared.get_mut(c.index()) {
+                Some(Some(mass)) => *mass += idf,
+                Some(slot) => {
+                    *slot = Some(idf);
+                    named.push(c);
+                }
+                None => {}
             }
-            let shared: f64 = name_terms
-                .iter()
-                .filter(|t| query_terms.binary_search(t).is_ok())
-                .map(|&t| index.model.idf(t))
-                .sum();
-            if shared <= 0.0 {
+        }
+    }
+    let mut scored: Vec<(ContextId, f64)> = named
+        .into_iter()
+        .filter_map(|c| {
+            let shared = (*shared.get(c.index())?)?;
+            if shared <= 0.0 || !sets.contains_context(c) {
                 return None;
             }
             let name_mass = *index.name_idf_mass.get(c.index())?;

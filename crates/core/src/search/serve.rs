@@ -205,7 +205,7 @@ impl Searcher {
 
     /// Task 3: select the contexts a query should search.
     pub fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
-        self.parts().select_contexts(query, sets)
+        self.parts().select_contexts(query, sets).1
     }
 }
 

@@ -42,24 +42,30 @@ pub struct InvertedIndex {
 /// Holds a dense per-document score array stamped with a query epoch —
 /// a slot is "live" only when its stamp equals the current epoch, so
 /// consecutive queries skip the O(n_docs) zeroing that
-/// [`InvertedIndex::score_all`] pays per call. The output is a pair of
-/// parallel columns (`docs` ascending, `scores` aligned), ready for
-/// merge-intersection against other sorted id columns.
+/// [`InvertedIndex::score_all`] pays per call. After a search exactly
+/// the candidates are live: a caller walks its own ascending id column
+/// (a context's prestige papers) and reads each id's score with
+/// [`score`](Self::score), so no candidate list is ever sorted.
 ///
 /// One scratch must not be shared across threads; keep one per worker
 /// (the serve path pools one per thread).
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
     /// Dense accumulator, indexed by doc id.
-    acc: Vec<f64>,
-    /// Epoch stamp per doc: `stamp[d] == epoch` ⇔ `acc[d]` is live.
-    stamp: Vec<u32>,
+    slots: Vec<Slot>,
     /// The current query's epoch.
     epoch: u32,
-    /// Output column: matching documents, ascending.
-    docs: Vec<DocId>,
-    /// Output column: scores parallel to `docs`.
-    scores: Vec<f64>,
+    /// The current query's candidates, in first-touch order.
+    touched: Vec<DocId>,
+}
+
+/// One document's accumulator: its score is live iff `stamp` equals
+/// the scratch's epoch. Stamp and score share a slot so that a lookup
+/// reads one cache line.
+#[derive(Debug, Default, Clone, Copy)]
+struct Slot {
+    stamp: u32,
+    score: f64,
 }
 
 impl CandidateScratch {
@@ -68,36 +74,39 @@ impl CandidateScratch {
         Self::default()
     }
 
-    /// The candidate columns of the most recent
-    /// [`InvertedIndex::search_columns`] call: documents ascending, with
-    /// their scores parallel.
-    pub fn columns(&self) -> (&[DocId], &[f64]) {
-        (&self.docs, &self.scores)
+    /// The score of `doc` if it is a candidate of the most recent
+    /// [`InvertedIndex::search_columns`] call. Any id is safe to ask
+    /// about: one past the index's documents is simply no candidate.
+    #[inline]
+    pub fn score(&self, doc: DocId) -> Option<f64> {
+        self.slots
+            .get(doc.index())
+            .filter(|slot| slot.stamp == self.epoch)
+            .map(|slot| slot.score)
     }
 
     /// Number of candidates produced by the most recent search.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.touched.len()
     }
 
     /// Whether the most recent search produced no candidates.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.touched.is_empty()
     }
 
-    /// Advance to a fresh epoch, growing the dense arrays to `n` slots.
+    /// Advance to a fresh epoch, growing the dense array to `n` slots.
     /// On u32 wraparound every stamp is cleared so stale stamps from
-    /// ~4 billion queries ago cannot alias the new epoch.
+    /// ~4 billion queries ago cannot alias the new epoch; epoch 0 is
+    /// never live, so a cleared stamp is no candidate.
     fn begin(&mut self, n: usize) {
-        if self.acc.len() < n {
-            self.acc.resize(n, 0.0);
-            self.stamp.resize(n, 0);
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
         }
-        self.docs.clear();
-        self.scores.clear();
+        self.touched.clear();
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.stamp.fill(0);
+            self.slots.iter_mut().for_each(|slot| slot.stamp = 0);
             self.epoch = 1;
         }
     }
@@ -165,16 +174,15 @@ impl InvertedIndex {
         scores
     }
 
-    /// Columnar search: accumulate cosine scores into `scratch` and emit
-    /// the candidates strictly above `min_score` as doc-id-ascending
-    /// parallel columns (read them via [`CandidateScratch::columns`]).
+    /// Candidate search: accumulate cosine scores into `scratch` and
+    /// leave live exactly the documents strictly above `min_score`
+    /// (read them with [`CandidateScratch::score`]).
     ///
     /// Candidate set and score bits are identical to [`search`] — the
     /// accumulation visits `(term, posting)` pairs in the same order, so
-    /// every floating-point sum associates identically; only the output
-    /// order differs (ascending doc instead of descending score).
-    /// Allocation-free after warm-up: the dense accumulator is epoch-
-    /// stamped instead of re-zeroed, and the output columns are reused.
+    /// every floating-point sum associates identically; nothing is
+    /// sorted. Allocation-free after warm-up: the dense accumulator is
+    /// epoch-stamped instead of re-zeroed.
     ///
     /// [`search`]: InvertedIndex::search
     pub fn search_columns(
@@ -184,30 +192,32 @@ impl InvertedIndex {
         scratch: &mut CandidateScratch,
     ) {
         scratch.begin(self.n_docs as usize);
-        let epoch = scratch.epoch;
+        let CandidateScratch {
+            slots,
+            epoch,
+            touched,
+        } = scratch;
         for &(t, qw) in query.entries() {
             for p in self.postings(t) {
-                let i = p.doc.index();
-                if scratch.stamp[i] != epoch {
-                    scratch.stamp[i] = epoch;
-                    scratch.acc[i] = 0.0;
-                    scratch.docs.push(p.doc);
+                let slot = &mut slots[p.doc.index()];
+                if slot.stamp != *epoch {
+                    slot.stamp = *epoch;
+                    slot.score = 0.0;
+                    touched.push(p.doc);
                 }
-                scratch.acc[i] += qw * p.weight as f64;
+                slot.score += qw * p.weight as f64;
             }
         }
-        scratch.docs.sort_unstable();
-        let mut kept = 0;
-        for r in 0..scratch.docs.len() {
-            let d = scratch.docs[r];
-            let s = scratch.acc[d.index()];
-            if s > min_score {
-                scratch.docs[kept] = d;
-                scratch.scores.push(s);
-                kept += 1;
+        // Retire the documents at or below `min_score`: only candidates
+        // stay live.
+        touched.retain(|d| {
+            let slot = &mut slots[d.index()];
+            let keep = slot.score > min_score;
+            if !keep {
+                slot.stamp = 0;
             }
-        }
-        scratch.docs.truncate(kept);
+            keep
+        });
     }
 
     /// Score and return `(doc, score)` pairs above `min_score`, sorted by
@@ -300,6 +310,14 @@ mod tests {
         assert!(scratch.is_empty());
     }
 
+    /// Every id's [`CandidateScratch::score`], one past the end
+    /// included: `None` for non-candidates.
+    fn live(idx: &InvertedIndex, scratch: &CandidateScratch) -> Vec<Option<u64>> {
+        (0..=idx.n_docs())
+            .map(|d| scratch.score(DocId(d)).map(f64::to_bits))
+            .collect()
+    }
+
     #[test]
     fn search_columns_matches_search_bit_for_bit() {
         let (idx, model) = tiny_index();
@@ -311,15 +329,14 @@ mod tests {
             (ids(&[1]), 1.1),
         ] {
             let qv = model.vectorize_normalized(&q);
-            let mut reference = idx.search(&qv, min);
-            reference.sort_unstable_by_key(|&(d, _)| d);
-            idx.search_columns(&qv, min, &mut scratch);
-            let (docs, scores) = scratch.columns();
-            assert_eq!(docs.len(), reference.len(), "query {q:?}");
-            for (i, &(d, s)) in reference.iter().enumerate() {
-                assert_eq!(docs[i], d);
-                assert_eq!(scores[i].to_bits(), s.to_bits(), "doc {d:?}");
+            let mut want = vec![None; idx.n_docs() as usize + 1];
+            let reference = idx.search(&qv, min);
+            for &(d, s) in &reference {
+                want[d.index()] = Some(s.to_bits());
             }
+            idx.search_columns(&qv, min, &mut scratch);
+            assert_eq!(live(&idx, &scratch), want, "query {q:?}");
+            assert_eq!(scratch.len(), reference.len(), "query {q:?}");
         }
     }
 
@@ -336,14 +353,30 @@ mod tests {
         );
         let broad = scratch.len();
         idx.search_columns(&model.vectorize_normalized(&ids(&[3])), 0.0, &mut scratch);
-        let (docs, _) = scratch.columns();
         assert!(scratch.len() < broad);
-        assert_eq!(docs, &[DocId(2)], "only doc2 contains term 3");
+        let candidates = |scratch: &CandidateScratch| -> Vec<u32> {
+            (0..idx.n_docs())
+                .filter(|&d| scratch.score(DocId(d)).is_some())
+                .collect()
+        };
+        assert_eq!(candidates(&scratch), [2], "only doc2 contains term 3");
         // And the epoch discipline survives many reuses.
         for _ in 0..100 {
             idx.search_columns(&model.vectorize_normalized(&ids(&[1])), 0.0, &mut scratch);
-            let (docs, _) = scratch.columns();
-            assert_eq!(docs, &[DocId(0), DocId(1)]);
+            assert_eq!(candidates(&scratch), [0, 1]);
         }
+    }
+
+    #[test]
+    fn epoch_wraparound_clears_every_stamp() {
+        let (idx, model) = tiny_index();
+        let mut scratch = CandidateScratch::new();
+        idx.search_columns(&model.vectorize_normalized(&ids(&[1])), 0.0, &mut scratch);
+        // The next query's epoch wraps to 0, which is never live.
+        scratch.epoch = u32::MAX;
+        idx.search_columns(&model.vectorize_normalized(&ids(&[3])), 0.0, &mut scratch);
+        assert_eq!(scratch.epoch, 1);
+        assert_eq!(scratch.score(DocId(0)), None);
+        assert!(scratch.score(DocId(2)).is_some());
     }
 }

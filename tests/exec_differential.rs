@@ -8,18 +8,66 @@
 //! The reference implementation below is the pre-columnar algorithm
 //! kept verbatim: keyword scores collected into a `HashMap`, a nested
 //! context × prestige-pair loop with first-wins best tracking, a full
-//! sort, then truncate.
+//! sort, then truncate. Its context selection is the per-context Dice
+//! loop that tests every context's name, also kept verbatim, and
+//! compared on its own with the production selection below.
 
+use litsearch::context_search::config::SelectionConfig;
+use litsearch::context_search::indexes::CorpusIndex;
 use litsearch::context_search::persist::{load_snapshot, save_snapshot};
 use litsearch::context_search::search::{relevancy, select_contexts};
 use litsearch::context_search::{
-    ContextPaperSets, ContextSetKind, EngineConfig, EngineSnapshot, PrestigeScores, ScoreFunction,
-    SearchResult, Searcher,
+    ContextId, ContextPaperSets, ContextSetKind, EngineConfig, EngineSnapshot, PrestigeScores,
+    ScoreFunction, SearchResult, Searcher,
 };
 use litsearch::corpus::PaperId;
 use litsearch::demo::{snapshot, snapshot_with, Scale};
+use litsearch::textproc::TermId;
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// The per-context Dice selection, reference copy: every context of
+/// `sets` intersects its own sorted name with the query's words.
+fn reference_select(
+    query_tokens: &[TermId],
+    index: &CorpusIndex,
+    sets: &ContextPaperSets,
+    config: &SelectionConfig,
+) -> Vec<(ContextId, f64)> {
+    let mut query_terms: Vec<TermId> = query_tokens.to_vec();
+    query_terms.sort_unstable();
+    query_terms.dedup();
+    if query_terms.is_empty() {
+        return Vec::new();
+    }
+    let query_mass: f64 = query_terms.iter().map(|&t| index.model.idf(t)).sum();
+    let mut scored: Vec<(ContextId, f64)> = sets
+        .contexts()
+        .filter_map(|c| {
+            let mut name_terms = index.term_name_tokens.get(c.index())?.clone();
+            name_terms.sort_unstable();
+            name_terms.dedup();
+            if name_terms.is_empty() {
+                return None;
+            }
+            let shared: f64 = name_terms
+                .iter()
+                .filter(|t| query_terms.binary_search(t).is_ok())
+                .map(|&t| index.model.idf(t))
+                .sum();
+            if shared <= 0.0 {
+                return None;
+            }
+            let name_mass: f64 = name_terms.iter().map(|&t| index.model.idf(t)).sum();
+            let dice = 2.0 * shared / (query_mass + name_mass);
+            Some((c, dice))
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.retain(|&(_, s)| s >= config.min_match);
+    scored.truncate(config.max_contexts);
+    scored
+}
 
 /// The pre-columnar execution algorithm, reference copy.
 fn reference_search(
@@ -30,7 +78,7 @@ fn reference_search(
     limit: usize,
 ) -> Vec<SearchResult> {
     let tokens = e.corpus().analyze_known(query);
-    let contexts = select_contexts(&tokens, e.index(), sets, &e.config().selection);
+    let contexts = reference_select(&tokens, e.index(), sets, &e.config().selection);
     let matching: HashMap<PaperId, f64> = e.keyword_search(query, 0.0).into_iter().collect();
     let mut best: HashMap<PaperId, SearchResult> = HashMap::new();
     for (context, _ctx_score) in contexts {
@@ -220,8 +268,86 @@ fn shared_searcher() -> &'static (Searcher, (ContextSetKind, ScoreFunction)) {
     })
 }
 
+/// The shipped selection config and a permissive one that keeps every
+/// context sharing a word.
+fn selection_configs() -> [SelectionConfig; 2] {
+    [
+        EngineConfig::default().selection,
+        SelectionConfig {
+            max_contexts: 50,
+            min_match: 0.0,
+        },
+    ]
+}
+
+/// Every context's name as the query: names of three or more words
+/// share all of them, so a selection that sums its shared masses in
+/// another order fails here (the random lists rarely share that many).
+#[test]
+fn selection_matches_the_reference_on_every_context_name() {
+    let (searcher, _) = shared_searcher();
+    let e = searcher.snapshot();
+    for kind in [ContextSetKind::TextBased, ContextSetKind::PatternBased] {
+        let sets = e.sets(kind);
+        for config in selection_configs() {
+            for name in &e.index().term_name_tokens {
+                assert_eq!(
+                    select_bits(&select_contexts(name, e.index(), sets, &config)),
+                    select_bits(&reference_select(name, e.index(), sets, &config)),
+                    "{} sets, {config:?}, name {name:?}",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
+/// Contexts and score bits, for exact comparison.
+fn select_bits(selected: &[(ContextId, f64)]) -> Vec<(ContextId, u64)> {
+    selected.iter().map(|&(c, s)| (c, s.to_bits())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Selection over random word lists: known name words, words no
+    /// name holds, ids past the vocabulary, repeats, and the empty
+    /// list. Contexts and score bits match the reference for both set
+    /// kinds, at the shipped and at a permissive config.
+    #[test]
+    fn selection_matches_the_reference_on_random_words(
+        draws in proptest::collection::vec((0u32..400, 0u32..4), 0..10),
+        repeats in 0usize..6,
+    ) {
+        let (searcher, _) = shared_searcher();
+        let e = searcher.snapshot();
+        let words = e.index().term_name_tokens.iter().flatten().map(|t| t.0).max().unwrap_or(0) + 1;
+        let mut tokens: Vec<TermId> = draws
+            .iter()
+            .map(|&(x, class)| match class {
+                // A word past the vocabulary.
+                0 => TermId(10_000_000 + x),
+                // Any vocabulary word, most of them in no name.
+                1 => TermId(x * 7),
+                // A word of some context's name.
+                _ => TermId(x % words),
+            })
+            .collect();
+        tokens.extend(tokens.clone().into_iter().take(repeats));
+        for kind in [ContextSetKind::TextBased, ContextSetKind::PatternBased] {
+            let sets = e.sets(kind);
+            for config in selection_configs() {
+                prop_assert_eq!(
+                    select_bits(&select_contexts(&tokens, e.index(), sets, &config)),
+                    select_bits(&reference_select(&tokens, e.index(), sets, &config)),
+                    "{} sets, {:?}, words {:?}",
+                    kind.name(),
+                    config,
+                    &tokens
+                );
+            }
+        }
+    }
 
     /// The bounded top-k heap is exactly full-sort-then-truncate, for
     /// arbitrary queries and limits. Real corpora make relevancy ties

@@ -4,11 +4,12 @@
 //! never a panic.
 
 use litsearch::context_search::persist::{
-    load_snapshot, save_snapshot, PersistError, SNAPSHOT_VERSION,
+    load_snapshot, save_snapshot, ContextSetsFile, PersistError, PrestigeColumnsFile,
+    SNAPSHOT_VERSION,
 };
 use litsearch::context_search::{ContextSetKind, EngineConfig, ScoreFunction};
 use litsearch::demo::{snapshot, Scale};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("litsearch_snap_{tag}_{}", std::process::id()));
@@ -110,7 +111,74 @@ fn damaged_snapshots_fail_cleanly_not_loudly() {
         other => panic!("expected Io, got {other}"),
     }
 
+    // Entries a query would misread are refused, naming the file and
+    // the context: in a prestige table, a paper past the corpus, a paper
+    // listed twice in one column and a context past the ontology; in a
+    // context set, a member past the corpus, a representative past the
+    // corpus and a context past the ontology.
+    save_snapshot(&snap, &dir).expect("save");
+    let (papers, terms) = (snap.corpus().len() as u32, snap.ontology().len() as u32);
+    let prestige = "prestige_text_text.json";
+    let table = || -> PrestigeColumnsFile { serde_json::from_str(&read(&dir, prestige)).unwrap() };
+    let mut t = table();
+    let (c, ps, vs) = &mut t.columns[0];
+    let c = *c;
+    ps.push(99_999);
+    vs.push(1.0);
+    let damaged = serde_json::to_string(&t).unwrap();
+    assert_refused(&dir, prestige, damaged, c, "names paper 99999");
+    let mut t = table();
+    let (c, ps, vs) = &mut t.columns[1];
+    let c = *c;
+    ps.push(ps[0]);
+    vs.push(vs[0]);
+    let damaged = serde_json::to_string(&t).unwrap();
+    assert_refused(&dir, prestige, damaged, c, "twice");
+    let mut t = table();
+    t.columns[2].0 = terms + 5;
+    let damaged = serde_json::to_string(&t).unwrap();
+    assert_refused(&dir, prestige, damaged, terms + 5, "terms");
+    let set_file =
+        |file: &str| -> ContextSetsFile { serde_json::from_str(&read(&dir, file)).unwrap() };
+    let sets = "sets_pattern.json";
+    let mut m = set_file(sets);
+    let (c, ps) = &mut m.members[0];
+    let c = *c;
+    ps.insert(0, papers);
+    let damaged = serde_json::to_string(&m).unwrap();
+    assert_refused(&dir, sets, damaged, c, &format!("names paper {papers}"));
+    let mut m = set_file(sets);
+    m.members[1].0 = terms;
+    let damaged = serde_json::to_string(&m).unwrap();
+    assert_refused(&dir, sets, damaged, terms, "terms");
+    let sets = "sets_text.json";
+    let mut m = set_file(sets);
+    let (c, p) = &mut m.representatives[0];
+    let c = *c;
+    *p = papers + 1;
+    let damaged = serde_json::to_string(&m).unwrap();
+    assert_refused(&dir, sets, damaged, c, "papers");
+    load_snapshot(&dir, EngineConfig::default()).expect("every damage was undone");
+
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn read(dir: &Path, file: &str) -> String {
+    std::fs::read_to_string(dir.join(file)).unwrap()
+}
+
+/// Write `damaged` over `file`, expect a typed `Corrupt` error that
+/// names the file, the context and `what`, then put the file back.
+fn assert_refused(dir: &Path, file: &str, damaged: String, context: u32, what: &str) {
+    let pristine = read(dir, file);
+    std::fs::write(dir.join(file), damaged).unwrap();
+    let err = load_snapshot(dir, EngineConfig::default()).unwrap_err();
+    std::fs::write(dir.join(file), pristine).unwrap();
+    let message = err.to_string();
+    assert!(matches!(err, PersistError::Corrupt(_)), "{file}: {message}");
+    for part in [file, &format!("context {context} "), what] {
+        assert!(message.contains(part), "{message:?} lacks {part:?}");
+    }
 }
 
 /// Restore the header and corpus after the tampering steps above.
