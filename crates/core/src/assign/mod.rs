@@ -15,5 +15,5 @@
 pub mod pattern;
 pub mod text;
 
-pub use pattern::{build_pattern_sets, patterns_by_context, ContextPatterns};
+pub use pattern::{build_pattern_sets, patterns_by_context, ContextPatterns, PhraseHit};
 pub use text::build_text_sets;

@@ -221,65 +221,53 @@ impl CorpusIndex {
         (min_df.max(1.0)) / n
     }
 
-    /// Papers whose analyzed sections contain `phrase` contiguously.
-    /// Candidates come from the postings of the phrase's rarest word;
-    /// contiguity is verified per section (never across boundaries).
-    pub fn papers_containing_phrase(&self, corpus: &Corpus, phrase: &[TermId]) -> Vec<PaperId> {
-        if phrase.is_empty() {
-            return Vec::new();
-        }
-        let rarest = phrase
-            .iter()
-            .copied()
-            .min_by_key(|&t| self.model.df(t))
-            .expect("non-empty phrase");
-        let mut out = Vec::new();
-        for doc in self.inverted.docs_containing(rarest) {
-            let paper = PaperId(doc.0);
-            let a = corpus.analyzed(paper);
-            let found = Section::ALL
-                .iter()
-                .any(|&s| !textproc::phrase::find_occurrences(a.section(s), phrase).is_empty());
-            if found {
-                out.push(paper);
-            }
-        }
-        out
-    }
-
-    /// The §3.2 author similarity:
+    /// The §3.2 author similarity of `paper` to `representative`:
     /// `SimAuthors = L0Weight·SimL0 + L1Weight·SimL1`, where level 0 is
     /// shared authors and level 1 is authors who co-wrote a third paper.
+    ///
+    /// Both levels are counts over distinct authors, taken without
+    /// building a set:
+    /// - level 0: the authors the two papers share;
+    /// - level 1: the representative's authors `x` whose coauthor set
+    ///   holds some author of the paper. `coauthors` is symmetric
+    ///   ([`build`](Self::build) inserts both directions), so this is
+    ///   the number of the representative's authors found among the
+    ///   coauthors of the paper's authors.
+    ///
+    /// The cost is quadratic in the byline length, which is a handful.
     pub fn author_similarity(
         &self,
         corpus: &Corpus,
-        a: PaperId,
-        b: PaperId,
+        paper: PaperId,
+        representative: PaperId,
         weights: &TextSimWeights,
     ) -> f64 {
-        let aa = &corpus.paper(a).authors;
-        let ab = &corpus.paper(b).authors;
-        if aa.is_empty() || ab.is_empty() {
+        let of_paper = &corpus.paper(paper).authors;
+        let of_rep = &corpus.paper(representative).authors;
+        if of_paper.is_empty() || of_rep.is_empty() {
             return 0.0;
         }
-        let set_a: HashSet<AuthorId> = aa.iter().copied().collect();
-        let set_b: HashSet<AuthorId> = ab.iter().copied().collect();
-        let l0 =
-            set_a.intersection(&set_b).count() as f64 / ((set_a.len() * set_b.len()) as f64).sqrt();
-
-        // Level 1: an author of `a` and an author of `b` co-wrote some
-        // third paper ⇔ b's author appears in the coauthor set of a's
-        // author.
-        let neighbors_a: HashSet<AuthorId> = set_a
-            .iter()
-            .flat_map(|x| self.coauthors.get(x).into_iter().flatten())
-            .copied()
-            .collect();
-        let l1_hits = set_b.iter().filter(|x| neighbors_a.contains(x)).count() as f64;
-        let l1 = (l1_hits / set_b.len() as f64).min(1.0);
+        let (mut shared, mut linked) = (0usize, 0usize);
+        for x in distinct(of_rep) {
+            shared += usize::from(of_paper.contains(&x));
+            let co = self.coauthors.get(&x);
+            linked += usize::from(co.is_some_and(|co| of_paper.iter().any(|y| co.contains(y))));
+        }
+        let (n_paper, n_rep) = (distinct(of_paper).count(), distinct(of_rep).count());
+        let l0 = shared as f64 / ((n_paper * n_rep) as f64).sqrt();
+        let l1 = (linked as f64 / n_rep as f64).min(1.0);
 
         (weights.l0_author * l0 + weights.l1_author * l1).clamp(0.0, 1.0)
     }
+}
+
+/// The distinct authors of a byline, each at its first appearance.
+fn distinct(byline: &[AuthorId]) -> impl Iterator<Item = AuthorId> + '_ {
+    byline
+        .iter()
+        .enumerate()
+        .filter(|&(i, x)| !byline[..i].contains(x))
+        .map(|(_, &x)| x)
 }
 
 #[cfg(test)]
@@ -335,21 +323,6 @@ mod tests {
             hits.iter().take(5).any(|&(p, _)| p == PaperId(3)),
             "paper should rank highly for its own title"
         );
-    }
-
-    #[test]
-    fn phrase_candidates_actually_contain_phrase() {
-        let (onto, corpus, idx) = setup();
-        // Use a term name that some paper's title starts with.
-        let primary = corpus.paper(PaperId(0)).true_topics[0];
-        let phrase = &idx.term_name_tokens[primary.index()];
-        assert!(!phrase.is_empty());
-        let papers = idx.papers_containing_phrase(&corpus, phrase);
-        assert!(
-            papers.contains(&PaperId(0)),
-            "paper 0's title starts with its topic name"
-        );
-        let _ = onto;
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub use snapshot::{EngineSnapshot, PrepareOptions};
 /// Map `f` over `items` on up to `threads` worker threads (0 ⇒ available
 /// parallelism), preserving input order. The workhorse for per-context
 /// computations: contexts are independent, so prestige and assignment
-/// scale across cores.
+/// scale across cores. Their costs are skewed (one context's pattern
+/// set can be a hundred times the median's), so each worker claims the
+/// next unclaimed item from a shared counter rather than a fixed chunk.
 pub(crate) fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -88,21 +90,30 @@ where
     if threads <= 1 || items.len() < 8 {
         return items.iter().map(&f).collect();
     }
-    let chunk_size = items.len().div_ceil(threads);
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(threads);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let f = &f;
-                scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>())
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices;
+                        // results come back through `join`.
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        claimed.push((i, f(item)));
+                    }
+                    claimed
+                })
             })
             .collect();
         for h in handles {
-            results.push(h.join().expect("worker panicked"));
+            done.extend(h.join().expect("worker panicked"));
         }
     });
-    results.into_iter().flatten().collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -112,6 +123,31 @@ mod tests {
         let items: Vec<u32> = (0..1000).collect();
         let out = super::parallel_map(4, &items, |&x| x * 2);
         assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parallel_map_claims_items_one_at_a_time_and_returns_input_order() {
+        // Item 0 costs the most: it ends only once every other item has,
+        // which takes the other workers claiming the items a fixed chunk
+        // would have queued behind it (bounded, so a regression fails
+        // instead of hanging).
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        use std::time::{Duration, Instant};
+        let items: Vec<usize> = (0..64).collect();
+        let done = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let out = super::parallel_map(4, &items, |&x| {
+            if x > 0 {
+                done.fetch_add(1, SeqCst);
+                return (x, 0);
+            }
+            while done.load(SeqCst) < items.len() - 1 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            (x, done.load(SeqCst))
+        });
+        assert_eq!(out[0].1, items.len() - 1, "items done while item 0 ran");
+        assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
     }
 
     #[test]

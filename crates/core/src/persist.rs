@@ -190,23 +190,44 @@ fn context_sets_from_file(file: ContextSetsFile) -> Result<ContextPaperSets, Per
         "pattern" => ContextSetKind::PatternBased,
         other => return Err(PersistError::UnknownTag(other.to_string())),
     };
-    let members: HashMap<ContextId, Vec<PaperId>> = file
-        .members
-        .into_iter()
-        .map(|(c, ps)| (ontology::TermId(c), ps.into_iter().map(PaperId).collect()))
-        .collect();
+    let members = once_per_context(
+        "members",
+        file.members
+            .into_iter()
+            .map(|(c, ps)| (c, ps.into_iter().map(PaperId).collect())),
+    )?;
     let mut sets = ContextPaperSets::new(members, kind);
-    sets.representatives = file
-        .representatives
-        .into_iter()
-        .map(|(c, p)| (ontology::TermId(c), PaperId(p)))
-        .collect();
-    sets.inherited_from = file
-        .inherited_from
-        .into_iter()
-        .map(|(c, a)| (ontology::TermId(c), ontology::TermId(a)))
-        .collect();
+    sets.representatives = once_per_context(
+        "representatives",
+        file.representatives
+            .into_iter()
+            .map(|(c, p)| (c, PaperId(p))),
+    )?;
+    sets.inherited_from = once_per_context(
+        "inherited_from",
+        file.inherited_from
+            .into_iter()
+            .map(|(c, a)| (c, ontology::TermId(a))),
+    )?;
     Ok(sets)
+}
+
+/// Collect one field's `(context, value)` entries, refusing a context
+/// listed twice: a map would keep the last entry and drop the other
+/// silently.
+fn once_per_context<V>(
+    field: &str,
+    entries: impl ExactSizeIterator<Item = (u32, V)>,
+) -> Result<HashMap<ContextId, V>, PersistError> {
+    let mut map = HashMap::with_capacity(entries.len());
+    for (c, value) in entries {
+        if map.insert(ontology::TermId(c), value).is_some() {
+            return Err(PersistError::Corrupt(format!(
+                "{field} lists context {c} twice"
+            )));
+        }
+    }
+    Ok(map)
 }
 
 /// Serialize prestige scores to JSON (the columnar shape — the
@@ -242,7 +263,20 @@ pub fn prestige_from_json(json: &str) -> Result<PrestigeScores, PersistError> {
             values,
         ));
     }
-    Ok(PrestigeScores::from_context_columns(cols, function))
+    let table = PrestigeScores::from_context_columns(cols, function);
+    // The columns are sorted by context: a repeat sits next to its
+    // first column.
+    if let Some(c) = table
+        .contexts()
+        .zip(table.contexts().skip(1))
+        .find_map(|(a, b)| (a == b).then_some(a))
+    {
+        return Err(PersistError::Corrupt(format!(
+            "prestige table lists context {} twice",
+            c.0
+        )));
+    }
+    Ok(table)
 }
 
 fn sets_file_name(kind: ContextSetKind) -> String {
@@ -281,6 +315,15 @@ fn function_from_name(name: &str) -> Result<ScoreFunction, PersistError> {
         "text" => Ok(ScoreFunction::Text),
         "pattern" => Ok(ScoreFunction::Pattern),
         other => Err(PersistError::UnknownTag(other.to_string())),
+    }
+}
+
+/// Name the payload file `name` in a [`PersistError::Corrupt`] raised
+/// while reading it.
+fn in_file(name: &str) -> impl Fn(PersistError) -> PersistError + '_ {
+    move |e| match e {
+        PersistError::Corrupt(what) => PersistError::Corrupt(format!("{name}: {what}")),
+        other => other,
     }
 }
 
@@ -426,7 +469,7 @@ pub fn load_snapshot(
             check_column(&name, &header, c, [])?;
             check_column(&name, &header, ancestor, [])?;
         }
-        let sets = context_sets_from_file(file)?;
+        let sets = context_sets_from_file(file).map_err(in_file(&name))?;
         if sets.kind != kind {
             return Err(PersistError::Corrupt(format!(
                 "{name} holds a {:?} set",
@@ -440,7 +483,7 @@ pub fn load_snapshot(
         let kind = kind_from_name(kind_name)?;
         let function = function_from_name(function_name)?;
         let name = prestige_file_name(kind, function);
-        let table = prestige_from_json(&read_file(&dir.join(&name))?)?;
+        let table = prestige_from_json(&read_file(&dir.join(&name))?).map_err(in_file(&name))?;
         if table.function != function {
             return Err(PersistError::Corrupt(format!(
                 "{name} holds a {} table",

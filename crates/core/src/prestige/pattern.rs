@@ -11,7 +11,7 @@ use crate::indexes::CorpusIndex;
 use crate::prestige::{max_normalize, PrestigeScores, ScoreFunction};
 use corpus::{Corpus, PaperId};
 use ontology::{rate_of_decay, Ontology};
-use patterns::matcher::match_strength;
+use patterns::matcher::{match_strength, middle_only_strength};
 use patterns::{MatcherConfig, SectionTokens};
 use std::collections::HashMap;
 
@@ -20,11 +20,16 @@ use std::collections::HashMap;
 /// `simplified` selects the §4 variant (middle-only matching), used for
 /// the pattern-based context paper set experiments; the full §3.3
 /// matcher also weighs left/right tuple fidelity.
+///
+/// `_index` is not read: the papers each pattern can match are the
+/// hits in `patterns`, found when the patterns were built. It keeps the
+/// stage's signature, which the benches and the benchmark's traced
+/// prepare call.
 pub fn pattern_prestige(
     ontology: &Ontology,
     sets: &ContextPaperSets,
     corpus: &Corpus,
-    index: &CorpusIndex,
+    _index: &CorpusIndex,
     patterns: &ContextPatterns,
     config: &EngineConfig,
     simplified: bool,
@@ -44,7 +49,7 @@ pub fn pattern_prestige(
         crate::parallel_map(config.threads, &own_contexts, |&context| {
             (
                 context,
-                score_context(sets, corpus, index, patterns, &matcher, context),
+                score_context(sets, corpus, patterns, &matcher, context),
             )
         });
     let mut by_context: HashMap<ContextId, Vec<(PaperId, f64)>> = computed.into_iter().collect();
@@ -70,32 +75,34 @@ pub fn pattern_prestige(
 fn score_context(
     sets: &ContextPaperSets,
     corpus: &Corpus,
-    index: &CorpusIndex,
     patterns: &ContextPatterns,
     matcher: &MatcherConfig,
     context: ContextId,
 ) -> Vec<(PaperId, f64)> {
     let members = sets.members(context);
-    let pats = patterns.patterns(context);
     let mut acc: HashMap<PaperId, f64> = HashMap::with_capacity(members.len());
-    // Candidate-driven accumulation: only papers containing a pattern's
-    // middle are ever scored against it (postings prefilter), instead of
-    // scanning every member against every pattern.
-    for pat in pats {
-        for paper in index.papers_containing_phrase(corpus, &pat.middle) {
-            if members.binary_search(&paper).is_err() {
+    // Hit-driven accumulation: only members whose sections hold a
+    // pattern's middle are ever scored against it, instead of scanning
+    // every member against every pattern.
+    for (pat, hits) in patterns.with_hits(context) {
+        for hit in hits {
+            if members.binary_search(&hit.paper).is_err() {
                 continue;
             }
-            let a = corpus.analyzed(paper);
-            let sections = SectionTokens {
-                title: &a.title,
-                abstract_text: &a.abstract_text,
-                body: &a.body,
-                index_terms: &a.index_terms,
+            let m = if matcher.middle_only {
+                middle_only_strength(hit.sections, matcher)
+            } else {
+                let a = corpus.analyzed(hit.paper);
+                let sections = SectionTokens {
+                    title: &a.title,
+                    abstract_text: &a.abstract_text,
+                    body: &a.body,
+                    index_terms: &a.index_terms,
+                };
+                match_strength(pat, &sections, matcher)
             };
-            let m = match_strength(pat, &sections, matcher);
             if m > 0.0 {
-                *acc.entry(paper).or_insert(0.0) += pat.score * m;
+                *acc.entry(hit.paper).or_insert(0.0) += pat.score * m;
             }
         }
     }

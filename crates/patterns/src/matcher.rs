@@ -26,13 +26,9 @@ pub struct SectionTokens<'a> {
 }
 
 impl<'a> SectionTokens<'a> {
-    fn all(&self) -> [(&'a [TermId], f64); 4] {
-        [
-            (self.title, 0.0),
-            (self.abstract_text, 0.0),
-            (self.body, 0.0),
-            (self.index_terms, 0.0),
-        ]
+    /// The four streams in `section_weights` order.
+    fn all(&self) -> [&'a [TermId]; 4] {
+        [self.title, self.abstract_text, self.body, self.index_terms]
     }
 }
 
@@ -67,35 +63,58 @@ impl Default for MatcherConfig {
 
 /// Matching strength `M(P, pt)` of one pattern against one paper: the
 /// best occurrence quality across all sections, 0.0 if the pattern's
-/// middle never occurs.
+/// middle never occurs. In the middle-only variant that is
+/// [`middle_only_strength`] of the sections the middle occurs in.
 pub fn match_strength(
     pattern: &Pattern,
     sections: &SectionTokens<'_>,
     config: &MatcherConfig,
 ) -> f64 {
-    let mut sections_arr = sections.all();
-    for (i, w) in config.section_weights.iter().enumerate() {
-        sections_arr[i].1 = *w;
+    let streams = sections.all();
+    if config.middle_only {
+        let mut mask = 0u8;
+        for (i, tokens) in streams.iter().enumerate() {
+            if !find_occurrences(tokens, &pattern.middle).is_empty() {
+                mask |= 1 << i;
+            }
+        }
+        return middle_only_strength(mask, config);
     }
     let mut best = 0.0f64;
-    for (tokens, weight) in sections_arr {
+    for (tokens, weight) in streams.into_iter().zip(config.section_weights) {
         if weight <= 0.0 || tokens.len() < pattern.middle.len() {
             continue;
         }
         for start in find_occurrences(tokens, &pattern.middle) {
-            let fidelity = if config.middle_only {
-                1.0
-            } else {
-                side_fidelity(pattern, tokens, start, config.window)
-            };
-            let quality =
-                weight * ((1.0 - config.context_weight) + config.context_weight * fidelity);
+            let fidelity = side_fidelity(pattern, tokens, start, config.window);
+            let quality = occurrence_quality(weight, fidelity, config);
             if quality > best {
                 best = quality;
             }
         }
     }
     best
+}
+
+/// Middle-only matching strength (the simplified §4 variant) of a
+/// middle that occurs in the sections of `mask`: bit `i` is section `i`
+/// of [`MatcherConfig::section_weights`] (title, abstract, body, index
+/// terms). The best weighted section wins; an empty mask gives 0.0.
+pub fn middle_only_strength(mask: u8, config: &MatcherConfig) -> f64 {
+    let mut best = 0.0f64;
+    for (i, weight) in config.section_weights.into_iter().enumerate() {
+        let quality = occurrence_quality(weight, 1.0, config);
+        if mask & (1 << i) != 0 && weight > 0.0 && quality > best {
+            best = quality;
+        }
+    }
+    best
+}
+
+/// The quality of one occurrence: its section's weight, scaled by the
+/// side fidelity as far as `context_weight` lets it count.
+fn occurrence_quality(weight: f64, fidelity: f64, config: &MatcherConfig) -> f64 {
+    weight * ((1.0 - config.context_weight) + config.context_weight * fidelity)
 }
 
 /// Fraction of the pattern's side words observed around the occurrence
@@ -226,6 +245,32 @@ mod tests {
         };
         let m = match_strength(&p, &sections(&without, &empty, &empty, &empty), &cfg);
         assert_eq!(m, cfg.section_weights[0]);
+    }
+
+    #[test]
+    fn middle_only_strength_is_the_strength_of_the_sections_in_the_mask() {
+        let p = pat(&[1], &[5], &[2], 1.0);
+        let (hit, miss) = (ids(&[8, 5, 9]), ids(&[8, 9]));
+        let cfg = MatcherConfig {
+            middle_only: true,
+            section_weights: [1.0, 0.0, 0.5, 0.9],
+            ..Default::default()
+        };
+        for mask in 0u8..16 {
+            let s = |i: usize| if mask & (1 << i) != 0 { &hit } else { &miss };
+            let sections = sections(s(0), s(1), s(2), s(3));
+            assert_eq!(
+                middle_only_strength(mask, &cfg).to_bits(),
+                match_strength(&p, &sections, &cfg).to_bits(),
+                "mask {mask:04b}"
+            );
+        }
+        assert_eq!(
+            middle_only_strength(0b0010, &cfg),
+            0.0,
+            "weight 0 counts nothing"
+        );
+        assert_eq!(middle_only_strength(0b1100, &cfg), 0.9);
     }
 
     #[test]

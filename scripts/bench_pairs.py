@@ -14,7 +14,8 @@ resumed or split by workload.
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles over the seeds and the number of pairs
 the change won; held-out seeds are counted apart. With `--traced-seed`
-one `--trace 1` run per side per workload adds its `search.*` figures.
+one `--trace 1` run per side per workload adds its `search.*` and
+`prepare.*` figures.
 
     python3 scripts/bench_pairs.py --pr 17 --parent ../parent --change . \\
         --workloads deep_16k wire_6k --seeds 1-10 --held-out 11-12 \\
@@ -109,7 +110,7 @@ def summarize(runs, metrics, workload, seeds, held_out):
         out["traced"] = {r["side"]: {
             "seed": r["seed"], "sum_checks": r["sum_checks"],
             "metrics": {n: v["value"] for n, v in r["result"]["metrics"].items()
-                        if n.startswith("search.")}} for r in traced}
+                        if n.startswith(("search.", "prepare."))}} for r in traced}
     return out
 
 

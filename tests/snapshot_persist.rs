@@ -158,6 +158,30 @@ fn damaged_snapshots_fail_cleanly_not_loudly() {
     *p = papers + 1;
     let damaged = serde_json::to_string(&m).unwrap();
     assert_refused(&dir, sets, damaged, c, "papers");
+
+    // A context listed twice would load with one of its entries dropped
+    // or shadowed: refused in each field of a context set and as two
+    // columns of one prestige table.
+    let mut m = set_file(sets);
+    let c = m.representatives[0].0;
+    m.representatives[1].0 = c;
+    let damaged = serde_json::to_string(&m).unwrap();
+    assert_refused(&dir, sets, damaged, c, "representatives lists");
+    let sets = "sets_pattern.json";
+    let mut m = set_file(sets);
+    let c = m.members[0].0;
+    m.members[1].0 = c;
+    let damaged = serde_json::to_string(&m).unwrap();
+    assert_refused(&dir, sets, damaged, c, "members lists");
+    let mut m = set_file(sets);
+    m.inherited_from.extend([(c, 0), (c, 0)]);
+    let damaged = serde_json::to_string(&m).unwrap();
+    assert_refused(&dir, sets, damaged, c, "inherited_from lists");
+    let mut t = table();
+    let c = t.columns[0].0;
+    t.columns[1].0 = c;
+    let damaged = serde_json::to_string(&t).unwrap();
+    assert_refused(&dir, prestige, damaged, c, "twice");
     load_snapshot(&dir, EngineConfig::default()).expect("every damage was undone");
 
     std::fs::remove_dir_all(&dir).unwrap();
