@@ -5,7 +5,7 @@
 //!
 //! * walking the workspace for `.rs` files (skipping `target/`,
 //!   `vendor/`, and `.git/`) and scanning each into tokens;
-//! * loading the metrics baselines the span-drift rule cross-checks;
+//! * loading the baselines the span-coverage rule cross-checks;
 //! * running per-file rules (test-path files excluded) and
 //!   workspace rules;
 //! * honoring `// lint:allow(rule-id, reason)` directives — a
@@ -16,7 +16,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::report::{Finding, LintReport, Severity, SuppressionUse};
-use crate::rules::{all_rules, span_drift, RawFinding, Rule};
+use crate::rules::{all_rules, span_coverage, RawFinding, Rule};
 use crate::scanner::{scan, SourceFile};
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
@@ -38,7 +38,7 @@ pub struct Baseline {
 pub struct Workspace {
     /// Scanned `.rs` files, sorted by path for deterministic reports.
     pub files: Vec<SourceFile>,
-    /// The metrics baselines (see [`span_drift::BASELINE_FILES`]).
+    /// The metrics baselines (see [`span_coverage::BASELINE_FILES`]).
     pub baselines: Vec<Baseline>,
 }
 
@@ -53,7 +53,7 @@ impl Workspace {
             let src = fs::read_to_string(root.join(&rel))?;
             files.push(scan(&rel, &src));
         }
-        let baselines = span_drift::BASELINE_FILES
+        let baselines = span_coverage::BASELINE_FILES
             .iter()
             .map(|rel| Baseline {
                 path: (*rel).to_string(),

@@ -6,8 +6,7 @@
 //! | `no-locks-on-hot-path` | PR 3's lock-free serving claim stays true |
 //! | `float-total-order` | ranking comparisons are total (NaN-safe, deterministic) |
 //! | `no-wallclock-outside-obs` | wall-clock reads stay inside telemetry/bench code |
-//! | `span-name-drift` | the checked-in metrics baselines stay readable and well-formed |
-//! | `span-coverage` | every baseline-gated span name exists in the workspace span registry |
+//! | `span-coverage` | the checked-in baselines stay readable and well-formed, and every name they gate exists in the workspace span registry |
 //! | `hashmap-order-leak` | hash iteration order never leaks into ranked output |
 //! | `panic-reachable-serving` | no panic site is call-reachable from a serve entrypoint |
 //! | `lock-reachable-hot-path` | no lock is call-reachable from a serve entrypoint |
@@ -34,7 +33,6 @@ pub mod interproc;
 pub mod no_locks;
 pub mod no_panic;
 pub mod span_coverage;
-pub mod span_drift;
 pub mod wallclock;
 
 /// A finding before severity assignment.
@@ -118,7 +116,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(no_locks::NoLocksOnHotPath),
         Box::new(float_order::FloatTotalOrder),
         Box::new(wallclock::NoWallclockOutsideObs),
-        Box::new(span_drift::SpanNameDrift),
         Box::new(span_coverage::SpanCoverage),
         Box::new(hashmap_order::HashmapOrderLeak),
         Box::new(interproc::PanicReachableServing),

@@ -1,5 +1,6 @@
 //! `span-coverage`: the workspace span-name registry, and the gate
-//! that every baseline-gated name is in it.
+//! that the checked-in baselines are healthy and every name they gate
+//! is in it.
 //!
 //! The registry is the set of dotted lowercase string literals in
 //! non-test source (`"serve.query"`, `"prepare.index"`,
@@ -7,25 +8,64 @@
 //! appears and how (an `obs::span`/call argument, a `const`/`static`
 //! initializer, or a plain literal). `--emit-registry` writes it to
 //! `results/span_registry.json` so CI can archive the full
-//! instrumentation surface; this rule cross-checks the four checked-in
-//! metrics baselines against it — a span name the perf gate relies on
-//! that no longer exists anywhere in source is a deny finding at lint
-//! time, not a confusing perf-gate error later.
+//! instrumentation surface.
 //!
-//! This supersedes the literal-grep half of the original
-//! `span-name-drift` rule; `span-name-drift` keeps the baseline
-//! health checks (readable, valid JSON, recognized shape).
+//! The perf gate (`metrics-diff --gate`) and the quality drift gate
+//! read the four baselines in [`BASELINE_FILES`]. Deleting or
+//! corrupting one must not silently disable its gate, so an unreadable
+//! baseline, invalid JSON, or an unrecognized shape is a deny finding;
+//! so is a gated name that no longer exists anywhere in source — at
+//! lint time, not as a confusing gate error later.
 //!
 //! Name grammar (documented approximation): segments of
 //! `[a-z0-9_]+` starting with a letter, joined by `.`, at least two
 //! segments; names whose final segment is a file extension
 //! (`metrics.json`, `serve.rs`) are not spans.
 
-use super::{span_drift, RawFinding, Rule};
-use crate::engine::Workspace;
+use super::{RawFinding, Rule};
+use crate::engine::{Baseline, Workspace};
 use crate::report::{json_str, Severity};
 use crate::scanner::TokKind;
 use std::collections::BTreeMap;
+
+/// The baseline files whose span sets are enforced, workspace-relative.
+/// Metrics baselines carry a `spans` array of `{name, ...}` objects;
+/// the quality baseline carries a `series` array of plain name strings
+/// (the rolling series the drift gate reads) — both spellings are
+/// names that must survive in source.
+pub const BASELINE_FILES: &[&str] = &[
+    "results/metrics_baseline.json",
+    "results/metrics_prepare_baseline.json",
+    "results/metrics_warm_baseline.json",
+    "results/quality_baseline.json",
+];
+
+/// The gated span/series names of one baseline, or the health finding
+/// that stops the baseline from gating anything.
+fn baseline_names(b: &Baseline) -> Result<Vec<String>, String> {
+    let content = b.content.as_ref().map_err(|e| {
+        format!("baseline unreadable ({e}); the perf and quality gates depend on this file")
+    })?;
+    let value: serde_json::Value =
+        serde_json::from_str(content).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    if let Some(spans) = value.get("spans").and_then(|s| s.as_array()) {
+        Ok(spans
+            .iter()
+            .filter_map(|span| span.get("name").and_then(|n| n.as_str()))
+            .map(str::to_string)
+            .collect())
+    } else if let Some(series) = value.get("series").and_then(|s| s.as_array()) {
+        Ok(series
+            .iter()
+            .filter_map(|s| s.as_str())
+            .map(str::to_string)
+            .collect())
+    } else {
+        Err("baseline has neither a `spans` nor a `series` array; \
+             regenerate it with `--metrics` / `litsearch quality --write-baseline`"
+            .to_string())
+    }
+}
 
 /// Final segments that mark a dotted literal as a file name, not a
 /// span name.
@@ -147,7 +187,8 @@ impl Rule for SpanCoverage {
     }
 
     fn summary(&self) -> &'static str {
-        "every span name a checked-in baseline gates must exist in the workspace span registry"
+        "the checked-in baselines must be readable, valid JSON and a recognized shape, \
+         and every name they gate must exist in the workspace span registry"
     }
 
     fn default_severity(&self) -> Severity {
@@ -162,9 +203,14 @@ impl Rule for SpanCoverage {
         let registry = build_registry(ws);
         let mut out = Vec::new();
         for b in &ws.baselines {
-            // Health problems (unreadable, bad JSON, wrong shape) are
-            // span-name-drift findings; here we only gate the names.
-            for name in span_drift::baseline_names(b) {
+            let names = match baseline_names(b) {
+                Ok(names) => names,
+                Err(health) => {
+                    out.push(RawFinding::at_pos(&b.path, 0, 0, health));
+                    continue;
+                }
+            };
+            for name in names {
                 if !registry.contains_key(&name) {
                     out.push(RawFinding::at_pos(
                         &b.path,
@@ -202,6 +248,36 @@ mod tests {
             r#"{"spans": [{"name": "engine.search", "p50_ns": 1}]}"#,
         );
         assert!(SpanCoverage.check_workspace(&w).is_empty());
+    }
+
+    #[test]
+    fn malformed_or_missing_baseline_is_flagged() {
+        let w = ws("fn f() {}", "{not json");
+        let found = SpanCoverage.check_workspace(&w);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].message.contains("not valid JSON"));
+        let mut w2 = ws("fn f() {}", "{}");
+        let found = SpanCoverage.check_workspace(&w2);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].message.contains("neither"));
+        w2.baselines[0].content = Err("No such file".to_string());
+        let found = SpanCoverage.check_workspace(&w2);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].message.contains("unreadable"));
+        assert_eq!(found[0].path, "results/metrics_baseline.json");
+    }
+
+    #[test]
+    fn baseline_names_parse_both_shapes() {
+        let w = ws(
+            "fn f() {}",
+            r#"{"spans": [{"name": "a.b"}, {"name": "c.d"}]}"#,
+        );
+        assert_eq!(baseline_names(&w.baselines[0]).unwrap(), ["a.b", "c.d"]);
+        let w = ws("fn f() {}", r#"{"series": ["q.x"]}"#);
+        assert_eq!(baseline_names(&w.baselines[0]).unwrap(), ["q.x"]);
+        let w = ws("fn f() {}", "{broken");
+        assert!(baseline_names(&w.baselines[0]).is_err());
     }
 
     #[test]

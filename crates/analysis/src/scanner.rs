@@ -13,7 +13,7 @@
 //!    skip assertions and unwraps that belong to tests.
 //! 3. **String contents**: literals become [`TokKind::Str`] tokens
 //!    carrying their unescaped-enough text, which is what the
-//!    span-name-drift rule matches baseline span names against.
+//!    span-coverage rule matches baseline span names against.
 //!
 //! No `syn`, no proc-macro machinery: the scanner is a few hundred
 //! lines of `char` iteration, which keeps the lint suite buildable in

@@ -26,7 +26,7 @@ impl Fixture {
         fs::create_dir_all(&root).expect("create fixture root");
         let fx = Self { root };
         // A workspace manifest so discover_root-style logic sees a root,
-        // and the four baselines span-name-drift insists on.
+        // and the four baselines span-coverage insists on.
         fx.write("Cargo.toml", "[workspace]\nmembers = []\n");
         fx.write("results/metrics_baseline.json", CLEAN_BASELINE);
         fx.write("results/metrics_prepare_baseline.json", CLEAN_BASELINE);
@@ -115,6 +115,20 @@ fn gated_span_missing_from_source_exits_one() {
 }
 
 #[test]
+fn deleted_or_corrupt_baseline_exits_one() {
+    let fx = Fixture::new("unhealthy");
+    fx.write("crates/core/src/lib.rs", "pub fn f() {}\n");
+    fx.write("results/metrics_baseline.json", "{not json");
+    fs::remove_file(fx.root.join("results/quality_baseline.json")).expect("remove baseline");
+    let out = run(&["--root", &root_arg(&fx), "--format", "text"]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    for needle in ["span-coverage", "not valid JSON", "unreadable"] {
+        assert!(text.contains(needle), "missing {needle:?}: {text}");
+    }
+}
+
+#[test]
 fn warn_only_fixture_exits_zero_without_and_one_with_deny_warnings() {
     let fx = Fixture::new("warn");
     // hashmap-order-leak is warn severity by default.
@@ -175,7 +189,7 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
-fn list_rules_names_all_ten() {
+fn list_rules_names_all_nine() {
     let out = run(&["--list-rules"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
@@ -184,7 +198,6 @@ fn list_rules_names_all_ten() {
         "no-locks-on-hot-path",
         "float-total-order",
         "no-wallclock-outside-obs",
-        "span-name-drift",
         "span-coverage",
         "hashmap-order-leak",
         "panic-reachable-serving",
@@ -193,6 +206,10 @@ fn list_rules_names_all_ten() {
     ] {
         assert!(text.contains(rule), "--list-rules missing {rule}: {text}");
     }
+    assert!(
+        !text.contains("span-name-drift"),
+        "span-coverage owns the baseline checks: {text}"
+    );
 }
 
 #[test]

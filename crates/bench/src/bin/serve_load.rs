@@ -1,5 +1,6 @@
-//! `serve_load` — closed/open-loop load generator over a shared
-//! [`Searcher`], emitting the full serving-observability report:
+//! `serve_load` — load generator over a shared [`Searcher`] in process
+//! (closed loop) or a running `litsearch serve` over the wire (closed
+//! or open loop), emitting the full serving-observability report:
 //! windowed per-stage latencies, SLO burn rates, and the slow-query
 //! leaderboard with captured explain traces.
 //!
@@ -9,16 +10,15 @@
 //!                                    …or generate + prepare in-process
 //!            [--threads N]           worker threads        (default 8)
 //!            [--queries N]           queries per worker    (default 200)
-//!            [--mode closed|open]    loop shape            (default closed)
+//!            [--mode closed|open]    loop shape            (default closed;
+//!                                    open needs --target)
 //!            [--qps RATE]            open-loop per-worker arrival rate
-//!            [--real]                wall-clock timing (default: --sim,
-//!                                    deterministic virtual time)
 //!            [--kind text|pattern]   context paper set     (default pattern)
 //!            [--function citation|text|pattern]
 //!            [--limit N]             results per query     (default 10)
 //!            [--window SECS]         report window         (default 60)
 //!            [--slow-threshold-ms MS] slow-query capture bar (default 50)
-//!            [--slow-threshold-us US] …same, microseconds (sim scales)
+//!            [--slow-threshold-us US] …same, microseconds
 //!            [--slo-latency-ms MS]   latency-SLO threshold (default 50)
 //!            [--error-every N]       inject 1/N synthetic errors
 //!            [--no-traces]           skip explain-trace capture
@@ -31,39 +31,23 @@
 //!            [--quality N]           shadow-score 1/N queries under all
 //!                                    three prestige functions
 //!            [--quality-top-pct F]   overlap depth as a fraction (default 0.10)
-//!            [--quality-baseline F]  judge drift against a checked-in baseline
-//!            [--write-quality-baseline F] derive a baseline from this run
-//!            [--quality-json FILE]   quality report JSON
-//!            [--quality-md FILE]     quality report markdown
-//!            [--fail-on-drift]       exit 1 on a critical quality drift
 //!
 //! Network mode (drive a running `litsearch serve` over the wire):
 //!            [--target http://HOST:PORT]  POST /v1/search instead of
 //!                                    calling the Searcher in-process
 //!            [--fail-on-shed]        exit 1 if the server shed (429)
 //!                                    or rejected (503) anything
-//!
-//! Overload comparison (deterministic queueing model, no sockets):
-//!            [--overload-sim]        compare shedding vs unbounded
-//!                                    queueing at --overload-factor ×
-//!                                    capacity; --fail-on-violation
-//!                                    fails unless shedding keeps p99
-//!                                    inside --deadline-ms and the
-//!                                    unbounded control does not
-//!            [--deadline-ms MS]      modeled deadline      (default 50)
-//!            [--overload-factor F]   arrival overload      (default 2.0)
-//!            [--sim-workers N]       modeled workers       (default 4)
-//!            [--sim-queue-depth N]   modeled queue bound   (default 64)
-//!            [--sim-requests N]      modeled arrivals      (default 4000)
-//!            [--overload-json FILE]  verdict JSON
 //! ```
 //!
+//! The ranking-quality drift gate is `litsearch quality`; overload is
+//! checked on the real server in `tests/serve_overload.rs`.
+//!
 //! Exit code 0 on success, 1 on a hard SLO violation (only with
-//! `--fail-on-violation`) or a critical ranking-quality drift (only
-//! with `--fail-on-drift`), 2 on usage/IO errors.
+//! `--fail-on-violation`) or a shed (only with `--fail-on-shed`), 2 on
+//! usage/IO errors.
 
 use bench::load::{LoadConfig, LoadHarness, LoopMode, QualityLoadConfig};
-use bench::netload::{self, OverloadConfig};
+use bench::netload;
 use bench::setup::{ExpConfig, Setup};
 use context_search::persist::load_snapshot;
 use context_search::{ContextSetKind, EngineConfig, ScoreFunction, Searcher};
@@ -97,16 +81,9 @@ struct Args {
     slow_jsonl: Option<String>,
     quiet: bool,
     fail_on_violation: bool,
-    quality_json: Option<String>,
-    quality_md: Option<String>,
-    write_quality_baseline: Option<String>,
-    fail_on_drift: bool,
     target: Option<String>,
     fail_on_shed: bool,
     slo_latency_ns: u64,
-    overload_sim: bool,
-    overload: OverloadConfig,
-    overload_json: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -130,19 +107,12 @@ fn parse_args() -> Result<Args, String> {
         slow_jsonl: None,
         quiet: false,
         fail_on_violation: false,
-        quality_json: None,
-        quality_md: None,
-        write_quality_baseline: None,
-        fail_on_drift: false,
         target: None,
         fail_on_shed: false,
         slo_latency_ns: 50 * 1_000_000,
-        overload_sim: false,
-        overload: OverloadConfig::default(),
-        overload_json: None,
     };
     // Quality knobs accumulate here; the config gets them only when
-    // `--quality` (or `--quality-baseline`) actually enables sampling.
+    // `--quality` actually enables sampling.
     let mut quality = QualityLoadConfig::default();
     let mut quality_on = false;
     let mut i = 0;
@@ -190,8 +160,6 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
                 a.qps = parse(&next(&argv, i, "--qps")?)?;
             }
-            "--sim" => a.config.sim = true,
-            "--real" => a.config.sim = false,
             "--kind" => {
                 i += 1;
                 a.config.kind = match next(&argv, i, "--kind")?.as_str() {
@@ -270,77 +238,30 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
                 quality.top_pct = parse(&next(&argv, i, "--quality-top-pct")?)?;
             }
-            "--quality-baseline" => {
-                i += 1;
-                let path = next(&argv, i, "--quality-baseline")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                quality.baseline = Some(
-                    obs::QualityBaseline::from_json(&text).map_err(|e| format!("{path}: {e}"))?,
-                );
-                quality_on = true;
-            }
-            "--write-quality-baseline" => {
-                i += 1;
-                a.write_quality_baseline = Some(next(&argv, i, "--write-quality-baseline")?);
-            }
-            "--quality-json" => {
-                i += 1;
-                a.quality_json = Some(next(&argv, i, "--quality-json")?);
-            }
-            "--quality-md" => {
-                i += 1;
-                a.quality_md = Some(next(&argv, i, "--quality-md")?);
-            }
-            "--fail-on-drift" => a.fail_on_drift = true,
             "--target" => {
                 i += 1;
                 a.target = Some(next(&argv, i, "--target")?);
             }
             "--fail-on-shed" => a.fail_on_shed = true,
-            "--overload-sim" => a.overload_sim = true,
-            "--deadline-ms" => {
-                i += 1;
-                let ms: u64 = parse(&next(&argv, i, "--deadline-ms")?)?;
-                a.overload.deadline_ns = ms * 1_000_000;
-            }
-            "--overload-factor" => {
-                i += 1;
-                a.overload.overload_factor = parse(&next(&argv, i, "--overload-factor")?)?;
-            }
-            "--sim-workers" => {
-                i += 1;
-                a.overload.workers = parse(&next(&argv, i, "--sim-workers")?)?;
-            }
-            "--sim-queue-depth" => {
-                i += 1;
-                a.overload.queue_depth = parse(&next(&argv, i, "--sim-queue-depth")?)?;
-            }
-            "--sim-requests" => {
-                i += 1;
-                a.overload.n_requests = parse(&next(&argv, i, "--sim-requests")?)?;
-            }
-            "--overload-json" => {
-                i += 1;
-                a.overload_json = Some(next(&argv, i, "--overload-json")?);
-            }
             flag => return Err(format!("unknown flag {flag}")),
         }
         i += 1;
     }
     if a.open {
+        // In process there is no queue to wait in: an open loop would
+        // report service time as latency.
+        if a.target.is_none() {
+            return Err(
+                "--mode open paces arrivals at a server; it needs --target http://HOST:PORT"
+                    .to_string(),
+            );
+        }
         a.config.mode = LoopMode::Open {
             qps_per_worker: a.qps,
         };
     }
     if quality_on {
         a.config.quality = Some(quality);
-    } else if a.quality_json.is_some()
-        || a.quality_md.is_some()
-        || a.write_quality_baseline.is_some()
-        || a.fail_on_drift
-    {
-        return Err("quality outputs need --quality N (shadow sampling is off)".to_string());
     }
     Ok(a)
 }
@@ -391,9 +312,6 @@ fn workload(a: &Args) -> Result<(Searcher, Vec<String>), String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-    if args.overload_sim {
-        return run_overload_sim(&args);
-    }
     if args.target.is_some() {
         return run_network_mode(&args);
     }
@@ -402,15 +320,8 @@ fn run() -> Result<bool, String> {
         return Err("workload produced no queries".to_string());
     }
     eprintln!(
-        "running {} loop: {} workers × {} queries ({} timing)…",
-        if args.open { "open" } else { "closed" },
-        args.config.threads,
-        args.config.queries_per_thread,
-        if args.config.sim {
-            "simulated"
-        } else {
-            "wall-clock"
-        },
+        "running closed loop: {} workers × {} queries…",
+        args.config.threads, args.config.queries_per_thread,
     );
     let harness = LoadHarness::new(args.config.clone());
     let report = harness.run(&searcher, &queries);
@@ -434,40 +345,11 @@ fn run() -> Result<bool, String> {
         write_file(path, &harness.slowlog().dump_jsonl())?;
         eprintln!("slow-query log: {path}");
     }
-    if let Some(quality) = &report.quality {
-        if let Some(path) = &args.quality_json {
-            write_file(path, &quality.to_json())?;
-            eprintln!("quality report: {path}");
-        }
-        if let Some(path) = &args.quality_md {
-            write_file(path, &quality.to_markdown())?;
-            eprintln!("quality report: {path}");
-        }
-        if let Some(path) = &args.write_quality_baseline {
-            let n_bins = args.config.quality.as_ref().map_or(10, |q| q.n_bins);
-            let baseline = obs::QualityBaseline::from_summary(
-                &quality.summary,
-                n_bins,
-                &obs::BaselineTolerances::default(),
-            );
-            write_file(path, &baseline.to_json())?;
-            eprintln!("quality baseline: {path}");
-        }
-    }
-    let mut ok = true;
     if report.has_hard_violation() {
         eprintln!("SLO HARD VIOLATION (see report)");
-        if args.fail_on_violation {
-            ok = false;
-        }
+        return Ok(!args.fail_on_violation);
     }
-    if report.has_quality_drift() {
-        eprintln!("RANKING-QUALITY DRIFT (see quality report)");
-        if args.fail_on_drift {
-            ok = false;
-        }
-    }
-    Ok(ok)
+    Ok(true)
 }
 
 /// `--target` mode: drive a live server over the wire with the PR 5
@@ -479,9 +361,6 @@ fn run_network_mode(args: &Args) -> Result<bool, String> {
         return Err("workload produced no queries".to_string());
     }
     let mut config = args.config.clone();
-    // Wire latencies are wall-clock by definition; the sim path stays
-    // available for the in-process harness only.
-    config.sim = false;
     config.capture_traces = false;
     config.slos = netload::network_serve_slos(args.slo_latency_ns);
     // Shadow scoring runs inside the server (`litsearch serve
@@ -538,42 +417,6 @@ fn run_network_mode(args: &Args) -> Result<bool, String> {
         );
     }
     Ok(ok)
-}
-
-/// `--overload-sim` mode: the deterministic shedding-vs-unbounded
-/// comparison over real per-query service costs.
-fn run_overload_sim(args: &Args) -> Result<bool, String> {
-    let (searcher, queries) = workload(args)?;
-    if queries.is_empty() {
-        return Err("workload produced no queries".to_string());
-    }
-    let costs = netload::service_costs(
-        &searcher,
-        &queries,
-        args.config.kind,
-        args.config.function,
-        args.config.limit,
-    );
-    if costs.is_empty() {
-        return Err("no query produced a service-cost estimate".to_string());
-    }
-    let verdict = netload::overload_compare(&costs, &args.overload);
-    let json = serde_json::to_string_pretty(&verdict).map_err(|e| e.to_string())?;
-    if !args.quiet {
-        println!("{json}");
-    }
-    if let Some(path) = &args.overload_json {
-        write_file(path, &json)?;
-        eprintln!("overload verdict: {path}");
-    }
-    let pass = matches!(verdict.get("pass"), Some(serde::Value::Bool(true)));
-    if !pass {
-        eprintln!(
-            "OVERLOAD VERDICT FAILED: shedding did not beat unbounded queueing at {}× load",
-            args.overload.overload_factor
-        );
-    }
-    Ok(pass || !args.fail_on_violation)
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), String> {

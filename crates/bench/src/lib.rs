@@ -17,9 +17,6 @@ pub mod setup;
 
 pub use diff::{diff_snapshots, DiffReport, DiffThresholds, SpanDiff, SpanVerdict};
 pub use experiments::*;
-pub use load::{default_serve_slos, sim_cost_ns, LoadConfig, LoadHarness, LoadReport, LoopMode};
-pub use netload::{
-    network_serve_slos, overload_compare, run_network, service_costs, simulate_overload,
-    NetLoadReport, OverloadConfig, OverloadOutcome,
-};
+pub use load::{default_serve_slos, quality_gate, LoadConfig, LoadHarness, LoadReport, LoopMode};
+pub use netload::{network_serve_slos, run_network, NetLoadReport};
 pub use setup::{ExpConfig, Setup};

@@ -1,5 +1,5 @@
-//! Closed- and open-loop load generation over a shared lock-free
-//! [`Searcher`], feeding the live-observability layer.
+//! Closed-loop load generation over a shared lock-free [`Searcher`],
+//! feeding the live-observability layer.
 //!
 //! N worker threads drive queries against one snapshot and record
 //! end-to-end latencies into a sharded [`RollingRecorder`]; at the end
@@ -7,43 +7,33 @@
 //! stats, evaluates the configured SLOs, and reports the slow-query
 //! leaderboard with captured explain traces.
 //!
-//! Two timing modes:
+//! Latencies are wall-clock measurements from a [`MonotonicClock`];
+//! the harness also enables global metrics and attaches its recorder
+//! to the registry, so per-stage span durations (`engine.search`,
+//! `search.*`) stream into their own windowed series. Each worker
+//! issues its next query the moment the previous completes (latency =
+//! service time). Open-loop arrivals, whose latency includes queue
+//! wait, need a server to queue in: [`crate::netload::run_network`]
+//! paces them over the wire.
 //!
-//! - **Real** (`sim = false`): latencies are wall-clock measurements
-//!   from a [`MonotonicClock`]; the harness also enables global
-//!   metrics and attaches its recorder to the registry, so per-stage
-//!   span durations (`engine.search`, `search.*`) stream into their
-//!   own windowed series.
-//! - **Simulated** (`sim = true`): every query still *executes* for
-//!   real (results and work counters are exact), but its duration is a
-//!   deterministic cost model over its [`QueryStats`], and each worker
-//!   advances its own virtual clock and owns shard = worker index.
-//!   Because queries are pure functions of (snapshot, query) and the
-//!   merge across shards is commutative, the entire windowed output —
-//!   p50/p95/p99, QPS, error rates, SLO burn — is **bit-identical
-//!   across runs and thread interleavings**. CI asserts on exactly
-//!   this.
+//! Slow-query capture: any query whose latency reaches the threshold
+//! is re-executed once with the global tracer armed — queries are
+//! deterministic, so the re-execution *is* the slow execution.
+//! Captures are serialized behind a process-wide mutex and filtered to
+//! the capturing thread's events, so concurrent workers never
+//! interleave their explain traces.
 //!
-//! Loop shapes: **closed** — each worker issues its next query the
-//! moment the previous completes (latency = service time); **open** —
-//! arrivals follow a fixed per-worker rate and latency includes queue
-//! wait (`completion − arrival`), so an overloaded server shows the
-//! classic open-loop latency blow-up instead of coordinated omission.
-//!
-//! Slow-query capture: any query whose (real or simulated) latency
-//! reaches the threshold is re-executed once with the global tracer
-//! armed — queries are deterministic, so the re-execution *is* the
-//! slow execution, minus the queueing. Captures are serialized behind
-//! a process-wide mutex and filtered to the capturing thread's events,
-//! so concurrent workers never interleave their explain traces.
+//! [`quality_gate`] is the ranking-quality drift gate: a sample stream
+//! shadow-scored on the calling thread, with no load harness and no
+//! time passing.
 
 use context_search::{
-    ContextSetKind, QualityShadow, QueryStats, ScoreFunction, Searcher, ShadowConfig,
+    shadow_evaluate, ContextSetKind, QualityShadow, ScoreFunction, Searcher, ShadowConfig,
 };
 use obs::{
     Clock, ManualClock, MonotonicClock, QualityAggregator, QualityBaseline, QualityReport,
-    QualityTracker, RollingConfig, RollingRecorder, SloReport, SloSpec, SloTracker, SlowQuery,
-    SlowQueryLog, TraceData, WindowStats,
+    RollingConfig, RollingRecorder, SloReport, SloSpec, SloTracker, SlowQuery, SlowQueryLog,
+    TraceData, WindowStats,
 };
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,10 +67,10 @@ pub struct LoadConfig {
     pub threads: usize,
     /// Queries issued per worker.
     pub queries_per_thread: usize,
-    /// Closed or open loop.
+    /// Closed or open loop. [`LoadHarness::run`] drives closed loops
+    /// only; open loops pace arrivals over the wire
+    /// ([`crate::netload::run_network`]).
     pub mode: LoopMode,
-    /// Deterministic simulated time (see module docs).
-    pub sim: bool,
     /// Result limit per query.
     pub limit: usize,
     /// Context paper set served.
@@ -114,14 +104,9 @@ pub struct QualityLoadConfig {
     pub top_pct: f64,
     /// Separability sketch bins.
     pub n_bins: usize,
-    /// Bounded queue depth to the shadow worker. In sim mode the
-    /// submitter blocks when full (every sample must be evaluated for
-    /// byte-stable reports); in real mode overflow samples are dropped
-    /// and counted.
+    /// Bounded queue depth to the shadow worker; overflow samples are
+    /// dropped and counted.
     pub queue_capacity: usize,
-    /// Baseline to judge drift against (`None` = report without a
-    /// verdict).
-    pub baseline: Option<QualityBaseline>,
 }
 
 impl Default for QualityLoadConfig {
@@ -131,7 +116,6 @@ impl Default for QualityLoadConfig {
             top_pct: 0.10,
             n_bins: 10,
             queue_capacity: 256,
-            baseline: None,
         }
     }
 }
@@ -142,7 +126,6 @@ impl Default for LoadConfig {
             threads: 4,
             queries_per_thread: 100,
             mode: LoopMode::Closed,
-            sim: true,
             limit: 10,
             kind: ContextSetKind::PatternBased,
             function: ScoreFunction::Pattern,
@@ -171,26 +154,44 @@ pub fn default_serve_slos(latency_threshold_ns: u64) -> Vec<SloSpec> {
     ]
 }
 
-/// Deterministic service-time model for simulation mode: a fixed
-/// dispatch overhead plus per-unit costs for each work counter. The
-/// coefficients are arbitrary but fixed — what matters is that cost is
-/// a pure function of the query's exact work, so heavy contexts
-/// produce the heavy tail the paper's per-context scoring predicts.
-pub fn sim_cost_ns(stats: &QueryStats) -> u64 {
-    200_000
-        + 2_000 * stats.selected_contexts
-        + 60 * stats.keyword_candidates
-        + 150 * stats.scored_pairs
-        + 1_000 * stats.results
+/// `litsearch quality`'s drift gate: the sample stream of a run of
+/// `n_queries` queries — request `seq` in `1..=n_queries` asks query
+/// `(seq − 1) mod queries.len()`, and every `shadow.sample_every`-th
+/// is sampled — re-ranked under every prestige function by
+/// [`shadow_evaluate`] on the calling thread, summarized into
+/// `n_bins` separability bins and, given a baseline, judged. A pure
+/// function of the snapshot and the stream: the report reads its
+/// (never moving) clock at 0.
+pub fn quality_gate(
+    searcher: &Searcher,
+    queries: &[String],
+    n_queries: u64,
+    shadow: &ShadowConfig,
+    n_bins: usize,
+    baseline: Option<&QualityBaseline>,
+) -> QualityReport {
+    let rolling = Arc::new(RollingRecorder::new(
+        RollingConfig {
+            bucket_secs: 1,
+            window_secs: 60,
+            shards: 1,
+        },
+        Arc::new(ManualClock::new(0)),
+    ));
+    let aggregator = QualityAggregator::new(rolling, n_bins);
+    let every = shadow.sample_every.max(1);
+    if !queries.is_empty() {
+        for seq in (every..=n_queries).step_by(every as usize) {
+            let query = &queries[((seq - 1) % queries.len() as u64) as usize];
+            if let Some(event) = shadow_evaluate(searcher, shadow, query, 0, 0) {
+                aggregator.record(&event);
+            }
+        }
+    }
+    let summary = aggregator.summary_at(0);
+    let drift = baseline.map(|b| b.evaluate(&summary));
+    QualityReport { summary, drift }
 }
-
-/// Per-stage split of a simulated duration, mirroring the real span
-/// hierarchy so the dashboard has the same series in both modes.
-const SIM_STAGES: &[(&str, u64)] = &[
-    ("search.select_contexts", 15),
-    ("search.candidates", 25),
-    ("search.rank", 45),
-];
 
 /// Serializes slow-query trace captures: the global tracer is a single
 /// sink, so only one worker may arm it at a time.
@@ -229,19 +230,12 @@ pub struct LoadHarness {
     /// Quality aggregation, when the run shadow-scores (its series
     /// land in `rolling`, so dashboards show them alongside latency).
     quality_agg: Option<Arc<QualityAggregator>>,
-    quality_tracker: Option<Arc<QualityTracker>>,
 }
 
 impl LoadHarness {
-    /// Build the harness: a real clock drives real mode; simulation
-    /// ignores the clock entirely (workers pass explicit virtual
-    /// timestamps).
+    /// Build the harness around a fresh monotonic clock.
     pub fn new(config: LoadConfig) -> Self {
-        let clock: Arc<dyn Clock> = if config.sim {
-            Arc::new(ManualClock::new(0))
-        } else {
-            Arc::new(MonotonicClock::new())
-        };
+        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
         // The ring must answer the report's window; sizing it to the
         // configured window (min 60 s) keeps memory bounded.
         let rolling = Arc::new(RollingRecorder::new(
@@ -264,11 +258,6 @@ impl LoadHarness {
             .quality
             .as_ref()
             .map(|qc| Arc::new(QualityAggregator::new(rolling.clone(), qc.n_bins)));
-        let quality_tracker = config
-            .quality
-            .as_ref()
-            .and_then(|qc| qc.baseline.clone())
-            .map(|baseline| Arc::new(QualityTracker::new(baseline)));
         Self {
             config,
             rolling,
@@ -278,7 +267,6 @@ impl LoadHarness {
             queries_issued: AtomicU64::new(0),
             errors_seen: AtomicU64::new(0),
             quality_agg,
-            quality_tracker,
         }
     }
 
@@ -307,11 +295,6 @@ impl LoadHarness {
         self.quality_agg.as_ref()
     }
 
-    /// The quality drift tracker, when a baseline was configured.
-    pub fn quality_tracker(&self) -> Option<&Arc<QualityTracker>> {
-        self.quality_tracker.as_ref()
-    }
-
     /// The configuration this harness runs.
     pub fn config(&self) -> &LoadConfig {
         &self.config
@@ -335,18 +318,19 @@ impl LoadHarness {
     ) -> LoadReport {
         assert!(!queries.is_empty(), "load run needs at least one query");
         let cfg = &self.config;
+        assert_eq!(
+            cfg.mode,
+            LoopMode::Closed,
+            "in-process runs are closed loops; open loops pace arrivals over the wire"
+        );
         let threads = cfg.threads.max(1);
-        let real_mode = !cfg.sim;
-        if real_mode {
-            // Per-stage span durations stream into the same recorder.
-            obs::enable();
-            obs::attach_rolling(self.rolling.clone());
-        }
+        // Per-stage span durations stream into the same recorder.
+        obs::enable();
+        obs::attach_rolling(self.rolling.clone());
         self.queries_issued.store(0, Ordering::Relaxed);
         self.errors_seen.store(0, Ordering::Relaxed);
         let total_errors = &self.errors_seen;
         let total_queries = &self.queries_issued;
-        let max_virtual_ns = AtomicU64::new(0);
         let live_workers = AtomicU64::new(threads as u64);
 
         // The shadow scorer lives outside the worker scope: workers
@@ -361,10 +345,6 @@ impl LoadHarness {
                     limit: cfg.limit,
                     top_pct: qc.top_pct,
                     queue_capacity: qc.queue_capacity,
-                    // Sim reports must be byte-stable, so every sample
-                    // is evaluated; latencies are virtual, so blocking
-                    // a worker costs nothing observable.
-                    block_when_full: cfg.sim,
                 },
                 Arc::clone(agg),
             )),
@@ -378,10 +358,8 @@ impl LoadHarness {
                 let rolling = self.rolling.clone();
                 let slowlog = self.slowlog.clone();
                 let clock = self.clock.clone();
-                let max_virtual_ns = &max_virtual_ns;
                 let live_workers = &live_workers;
                 scope.spawn(move || {
-                    let mut virtual_ns = 0u64; // sim-mode worker clock
                     for i in 0..cfg.queries_per_thread {
                         let q_idx = (w * cfg.queries_per_thread + i) % queries.len();
                         let query = &queries[q_idx];
@@ -392,14 +370,8 @@ impl LoadHarness {
 
                         // Execute (errors are injected by skipping the
                         // execution — the "server" was unavailable).
-                        let (stats, service_ns) = if injected_error {
-                            (QueryStats::default(), 100_000)
-                        } else if cfg.sim {
-                            let (_, stats) = searcher
-                                .query_with_stats(query, cfg.kind, cfg.function, cfg.limit)
-                                .unwrap_or_default();
-                            let cost = sim_cost_ns(&stats);
-                            (stats, cost)
+                        let (stats, latency_ns) = if injected_error {
+                            (Default::default(), 100_000)
                         } else {
                             // Span-free execution path: the worker
                             // records the end-to-end `serve.query`
@@ -434,27 +406,7 @@ impl LoadHarness {
                             }
                         };
 
-                        // Advance the worker's timeline and derive the
-                        // observed latency for its loop shape.
-                        let (completion_ns, latency_ns) = if cfg.sim {
-                            match cfg.mode {
-                                LoopMode::Closed => {
-                                    let start = virtual_ns;
-                                    virtual_ns = start + service_ns;
-                                    (virtual_ns, service_ns)
-                                }
-                                LoopMode::Open { qps_per_worker } => {
-                                    let arrival =
-                                        (i as f64 * 1e9 / qps_per_worker.max(1e-9)) as u64;
-                                    let start = arrival.max(virtual_ns);
-                                    virtual_ns = start + service_ns;
-                                    (virtual_ns, virtual_ns - arrival)
-                                }
-                            }
-                        } else {
-                            (clock.now_ns(), service_ns)
-                        };
-
+                        let completion_ns = clock.now_ns();
                         let error = injected_error;
                         if error {
                             total_errors.fetch_add(1, Ordering::Relaxed);
@@ -467,24 +419,6 @@ impl LoadHarness {
                                 // same queries on every run.
                                 shadow.observe_seq(seq, query, w, completion_ns);
                             }
-                        }
-                        if cfg.sim && !error {
-                            // Mirror the span hierarchy with synthetic
-                            // per-stage series (real mode gets these
-                            // from the attached registry).
-                            let mut accounted = 0u64;
-                            for &(stage, pct) in SIM_STAGES {
-                                let d = service_ns * pct / 100;
-                                accounted += d;
-                                rolling.record_at(w, stage, completion_ns, d, false);
-                            }
-                            rolling.record_at(
-                                w,
-                                "engine.search",
-                                completion_ns,
-                                accounted + service_ns * 5 / 100,
-                                false,
-                            );
                         }
 
                         if !error && slowlog.is_slow(latency_ns) {
@@ -514,7 +448,6 @@ impl LoadHarness {
                             });
                         }
                     }
-                    max_virtual_ns.fetch_max(virtual_ns, Ordering::Relaxed);
                     live_workers.fetch_sub(1, Ordering::Relaxed);
                 });
             }
@@ -530,26 +463,17 @@ impl LoadHarness {
         if let Some(shadow) = &shadow {
             shadow.finish();
         }
-        if real_mode {
-            obs::global().detach_rolling();
-        }
+        obs::global().detach_rolling();
 
-        let wall_ns = if cfg.sim {
-            max_virtual_ns.load(Ordering::Relaxed)
-        } else {
-            self.clock.now_ns()
-        };
         self.report_at(
-            wall_ns,
+            self.clock.now_ns(),
             total_queries.load(Ordering::Relaxed),
             total_errors.load(Ordering::Relaxed),
         )
     }
 
     /// A mid-run report at the clock's current reading — what a live
-    /// dashboard tick renders. (Under simulated time the manual clock
-    /// stays at 0, so live ticks are meaningful in real mode; simulated
-    /// runs read their final report from [`run`](Self::run).)
+    /// dashboard tick renders.
     pub fn report_now(&self) -> LoadReport {
         self.report_at(
             self.clock.now_ns(),
@@ -566,18 +490,13 @@ impl LoadHarness {
         let trace_dropped = obs::snapshot()
             .counter("obs.trace.dropped_events")
             .unwrap_or(0);
-        let quality = self.quality_agg.as_ref().map(|agg| {
-            let summary = agg.summary_at(at_ns);
-            let drift = self
-                .quality_tracker
-                .as_ref()
-                .map(|tracker| tracker.evaluate(&summary));
-            QualityReport { summary, drift }
+        let quality = self.quality_agg.as_ref().map(|agg| QualityReport {
+            summary: agg.summary_at(at_ns),
+            drift: None,
         });
         LoadReport {
             threads: self.config.threads,
             mode: self.config.mode.name(),
-            sim: self.config.sim,
             total_queries,
             errors: total_errors,
             wall_ns: at_ns,
@@ -597,8 +516,6 @@ pub struct LoadReport {
     pub threads: usize,
     /// `"closed"` or `"open"`.
     pub mode: &'static str,
-    /// Whether durations were simulated.
-    pub sim: bool,
     /// Queries issued (including injected errors).
     pub total_queries: u64,
     /// Errors observed (injected + real).
@@ -625,18 +542,8 @@ impl LoadReport {
         self.slo.has_hard_violation()
     }
 
-    /// Whether the quality drift verdict is critical — the
-    /// `--fail-on-drift` signal (false when no baseline was judged).
-    pub fn has_quality_drift(&self) -> bool {
-        self.quality
-            .as_ref()
-            .and_then(|q| q.drift.as_ref())
-            .is_some_and(|d| d.has_hard_violation())
-    }
-
-    /// JSON object form. Deterministic in simulation mode: windowed
-    /// stats, SLO burn rates, and the slow-query leaderboard (minus
-    /// trace internals) are pure functions of the workload.
+    /// JSON object form: windowed stats, SLO burn rates, and the
+    /// slow-query leaderboard (minus trace internals).
     pub fn to_value(&self) -> Value {
         let slow: Vec<Value> = self
             .slow
@@ -659,7 +566,6 @@ impl LoadReport {
         let mut value = Value::Map(vec![
             ("threads".to_string(), Value::UInt(self.threads as u64)),
             ("mode".to_string(), Value::Str(self.mode.to_string())),
-            ("sim".to_string(), Value::Bool(self.sim)),
             ("total_queries".to_string(), Value::UInt(self.total_queries)),
             ("errors".to_string(), Value::UInt(self.errors)),
             ("wall_ns".to_string(), Value::UInt(self.wall_ns)),
@@ -689,12 +595,11 @@ impl LoadReport {
     pub fn render_dashboard(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         let mut out = format!(
-            "serving dashboard — {} loop, {} workers, window {}s, t={:.1}s{}\n",
+            "serving dashboard — {} loop, {} workers, window {}s, t={:.1}s\n",
             self.mode,
             self.threads,
             self.window_secs,
             self.wall_ns as f64 / 1e9,
-            if self.sim { " (simulated time)" } else { "" },
         );
         out.push_str(&format!(
             "queries {}  errors {}  throughput {:.1} q/s overall\n\n",
@@ -845,30 +750,14 @@ mod tests {
         })
     }
 
-    fn sim_config(threads: usize) -> LoadConfig {
+    fn small_config(threads: usize) -> LoadConfig {
         LoadConfig {
             threads,
             queries_per_thread: 30,
-            slow_threshold_ns: 300_000,
             slow_capacity: 4,
             error_every: 10,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn simulated_runs_are_bit_identical_across_runs() {
-        let (setup, queries) = testbed();
-        let run = || {
-            let harness = LoadHarness::new(sim_config(8));
-            let report = harness.run(&setup.searcher, queries);
-            report.to_json()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "sim-mode report must be bit-identical");
-        assert!(a.contains("serve.query"));
-        assert!(a.contains("search.rank"));
     }
 
     #[test]
@@ -883,6 +772,15 @@ mod tests {
         });
         let report = harness.run(&setup.searcher, queries);
         assert!(!report.slow.is_empty());
+        // Wall-clock order decides which queries make the leaderboard; a
+        // query with no results has no score decomposition to explain.
+        let results = |s: &SlowQuery| {
+            s.stats
+                .iter()
+                .find(|(k, _)| k == "results")
+                .map_or(0, |&(_, v)| v)
+        };
+        assert!(report.slow.iter().any(|s| results(s) > 0));
         for s in &report.slow {
             let trace = s.trace.as_ref().expect("slow query carries a trace");
             assert!(
@@ -890,38 +788,10 @@ mod tests {
                 "trace has the search span"
             );
             assert!(
-                trace.events.iter().any(|e| e.name == "explain.hit"),
+                results(s) == 0 || trace.events.iter().any(|e| e.name == "explain.hit"),
                 "trace has explain instants"
             );
         }
-    }
-
-    #[test]
-    fn open_loop_latency_includes_queue_wait() {
-        let (setup, queries) = testbed();
-        let closed = LoadHarness::new(sim_config(2)).run(&setup.searcher, queries);
-        let open = LoadHarness::new(LoadConfig {
-            mode: LoopMode::Open {
-                // Arrivals far faster than service: the queue builds
-                // and open-loop latency must exceed pure service time.
-                qps_per_worker: 1e6,
-            },
-            ..sim_config(2)
-        })
-        .run(&setup.searcher, queries);
-        let p99 = |r: &LoadReport| {
-            r.windows
-                .iter()
-                .find(|w| w.name == "serve.query")
-                .expect("serve.query series")
-                .p99_ns
-        };
-        assert!(
-            p99(&open) > p99(&closed),
-            "open p99 {} must exceed closed p99 {}",
-            p99(&open),
-            p99(&closed)
-        );
     }
 
     #[test]
@@ -930,10 +800,10 @@ mod tests {
         let harness = LoadHarness::new(LoadConfig {
             error_every: 2, // 50% unavailability
             capture_traces: false,
-            ..sim_config(2)
+            ..small_config(2)
         });
         let report = harness.run(&setup.searcher, queries);
-        assert!(report.errors > 0);
+        assert_eq!(report.errors, 30, "every second query is an injected error");
         assert!(
             report.has_hard_violation(),
             "50% error rate against 99.9% availability must be critical"
@@ -952,7 +822,7 @@ mod tests {
     #[test]
     fn dashboard_renders_all_sections() {
         let (setup, queries) = testbed();
-        let report = LoadHarness::new(sim_config(2)).run(&setup.searcher, queries);
+        let report = LoadHarness::new(small_config(2)).run(&setup.searcher, queries);
         let dash = report.render_dashboard();
         assert!(dash.contains("serving dashboard"));
         assert!(dash.contains("serve.query"));
@@ -960,69 +830,38 @@ mod tests {
         assert!(dash.contains("slow queries"));
     }
 
-    fn quality_config(threads: usize) -> LoadConfig {
-        LoadConfig {
-            quality: Some(QualityLoadConfig {
-                sample_every: 2,
-                ..Default::default()
-            }),
-            ..sim_config(threads)
-        }
-    }
-
     #[test]
-    fn quality_sampling_leaves_serve_windows_bit_identical() {
+    #[should_panic(expected = "closed loops")]
+    fn in_process_open_loop_is_refused() {
         let (setup, queries) = testbed();
-        let without = LoadHarness::new(sim_config(8)).run(&setup.searcher, queries);
-        let with = LoadHarness::new(quality_config(8)).run(&setup.searcher, queries);
-        // Quality records only into `quality.*` series, so every
-        // serve/stage series is bit-identical with sampling on (the
-        // windows merely gain the quality series alongside).
-        let series_json = |r: &LoadReport, name: &str| {
-            r.windows
-                .iter()
-                .find(|w| w.name == name)
-                .map(|w| serde_json::to_string(&w.to_value()).unwrap())
-        };
-        for series in [
-            "serve.query",
-            "engine.search",
-            "search.select_contexts",
-            "search.candidates",
-            "search.rank",
-        ] {
-            assert_eq!(
-                series_json(&without, series),
-                series_json(&with, series),
-                "series {series} must be unaffected by quality sampling"
-            );
+        LoadHarness::new(LoadConfig {
+            mode: LoopMode::Open {
+                qps_per_worker: 100.0,
+            },
+            ..small_config(1)
+        })
+        .run(&setup.searcher, queries);
+    }
+
+    fn gate_config() -> ShadowConfig {
+        ShadowConfig {
+            sample_every: 2,
+            limit: 10,
+            ..Default::default()
         }
-        // Every other report field (SLOs, slow queries, totals) agrees
-        // too once the quality-only parts are stripped.
-        let strip = |r: &LoadReport| {
-            let mut v = r.to_value();
-            if let Value::Map(fields) = &mut v {
-                fields.retain(|(k, _)| k != "quality" && k != "windows");
-            }
-            serde_json::to_string(&v).unwrap()
-        };
-        assert_eq!(strip(&without), strip(&with));
     }
 
     #[test]
-    fn quality_reports_are_bit_identical_across_runs() {
+    fn quality_gate_reports_are_identical_across_runs() {
         let (setup, queries) = testbed();
         let run = || {
-            let harness = LoadHarness::new(quality_config(8));
-            let report = harness.run(&setup.searcher, queries);
-            let quality = report.quality.as_ref().expect("quality configured");
-            assert!(quality.summary.sampled > 0, "samples were evaluated");
-            assert_eq!(quality.summary.dropped, 0, "sim mode never drops");
-            quality.to_json()
+            let report = quality_gate(&setup.searcher, queries, 60, &gate_config(), 10, None);
+            assert_eq!(report.summary.sampled, 30, "every second of 60 queries");
+            assert_eq!(report.summary.dropped, 0);
+            report.to_json()
         };
         let a = run();
-        let b = run();
-        assert_eq!(a, b, "quality report must be byte-stable in sim mode");
+        assert_eq!(a, run(), "the quality report is a pure function");
         assert!(a.contains("quality.overlap.citation_text"));
         assert!(a.contains("quality.separability.pattern"));
     }
@@ -1030,15 +869,25 @@ mod tests {
     #[test]
     fn quality_drift_gate_fires_on_flattened_prestige() {
         let (setup, queries) = testbed();
-        // Healthy run writes the baseline...
-        let healthy = LoadHarness::new(quality_config(4)).run(&setup.searcher, queries);
-        let summary = &healthy.quality.as_ref().unwrap().summary;
-        let baseline =
-            QualityBaseline::from_summary(summary, 10, &obs::BaselineTolerances::default());
+        // A healthy run writes the baseline...
+        let healthy = quality_gate(&setup.searcher, queries, 60, &gate_config(), 10, None);
+        let baseline = QualityBaseline::from_summary(
+            &healthy.summary,
+            10,
+            &obs::BaselineTolerances::default(),
+        );
+        let judged = quality_gate(
+            &setup.searcher,
+            queries,
+            60,
+            &gate_config(),
+            10,
+            Some(&baseline),
+        );
         assert_eq!(
-            baseline.evaluate(summary).status,
-            obs::SloStatus::Ok,
-            "healthy run judges clean against its own baseline"
+            judged.drift.as_ref().map(|d| d.status),
+            Some(obs::SloStatus::Ok),
+            "a healthy run judges clean against its own baseline"
         );
 
         // ...then the citation function collapses to a constant table
@@ -1066,24 +915,10 @@ mod tests {
             ScoreFunction::Citation,
             flat,
         );
-        let drifted = LoadHarness::new(LoadConfig {
-            quality: Some(QualityLoadConfig {
-                sample_every: 2,
-                baseline: Some(baseline),
-                ..Default::default()
-            }),
-            ..sim_config(4)
-        })
-        .run(&perturbed, queries);
-        let drift = drifted
-            .quality
-            .as_ref()
-            .unwrap()
-            .drift
-            .as_ref()
-            .expect("baseline produces a verdict");
+        let drifted = quality_gate(&perturbed, queries, 60, &gate_config(), 10, Some(&baseline));
+        let drift = drifted.drift.as_ref().expect("baseline produces a verdict");
         assert!(
-            drifted.has_quality_drift(),
+            drift.has_hard_violation(),
             "flattened prestige must trip the gate; verdict was {:?}: {}",
             drift.status,
             drift

@@ -8,17 +8,10 @@
 //! counts — no coordinated omission). `429` deadline sheds are tallied
 //! separately under `serve.http.shed`: a shed is the server keeping
 //! its latency promise, not a failure, but a *nominal-load* run should
-//! shed nothing (CI's serve-smoke gates on exactly that).
-//!
-//! [`overload_compare`] is the deterministic loopback complement: an
-//! event-driven queueing model (same admission/shedding arithmetic as
-//! `serve::server`, same per-query service costs as the `--sim` load
-//! path) that contrasts a shedding configuration with an
-//! unbounded-queue control under 2× overload. Its verdict — shedding
-//! keeps served-request p99 inside the deadline, unbounded queueing
-//! does not — is asserted by CI without needing a second live server.
+//! shed nothing (CI's serve-smoke gates on exactly that). Overload
+//! itself is checked on the real server under a manual clock, in
+//! `tests/serve_overload.rs`.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,8 +20,8 @@ use std::time::Duration;
 use obs::SloSpec;
 use serde::Value;
 
-use crate::load::{sim_cost_ns, LoadHarness, LoadReport, LoopMode};
-use context_search::{ContextSetKind, ScoreFunction, Searcher};
+use crate::load::{LoadHarness, LoadReport, LoopMode};
+use context_search::{ContextSetKind, ScoreFunction};
 
 /// Serving objectives for the wire path: p99 of client-observed
 /// `serve.http.request` latency under the threshold, and 99.9%
@@ -203,8 +196,8 @@ fn read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Result<(u16, 
 }
 
 /// Drive the harness's configured workload over real sockets. The
-/// harness must be built with `sim = false` and network SLOs (see
-/// [`network_serve_slos`]); `target` looks like `http://127.0.0.1:port`.
+/// harness should carry network SLOs (see [`network_serve_slos`]);
+/// `target` looks like `http://127.0.0.1:port`.
 pub fn run_network(
     harness: &LoadHarness,
     target: &str,
@@ -214,9 +207,6 @@ pub fn run_network(
         return Err("network load run needs at least one query".to_string());
     }
     let cfg = harness.config();
-    if cfg.sim {
-        return Err("network mode drives a live server; drop --sim or drop --target".to_string());
-    }
     let host = host_port(target)?;
     let threads = cfg.threads.max(1);
     let clock = harness.clock().clone();
@@ -381,224 +371,6 @@ pub fn run_network(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic overload comparison
-// ---------------------------------------------------------------------------
-
-/// One modeled server configuration for [`overload_compare`].
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadConfig {
-    /// Worker threads in the model.
-    pub workers: usize,
-    /// Admission-queue depth bound (`0` = unbounded).
-    pub queue_depth: usize,
-    /// Per-request deadline, nanoseconds, anchored at arrival.
-    pub deadline_ns: u64,
-    /// Whether the model sheds requests that cannot finish in budget.
-    pub shed: bool,
-    /// Arrival rate as a multiple of the model's service capacity.
-    pub overload_factor: f64,
-    /// Total arrivals simulated.
-    pub n_requests: usize,
-    /// Fixed per-request dispatch overhead, nanoseconds.
-    pub dispatch_overhead_ns: u64,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            queue_depth: 64,
-            deadline_ns: 50_000_000,
-            shed: true,
-            overload_factor: 2.0,
-            n_requests: 4_000,
-            dispatch_overhead_ns: 50_000,
-        }
-    }
-}
-
-/// What one modeled configuration did under the arrival schedule.
-#[derive(Debug, Clone)]
-pub struct OverloadOutcome {
-    /// Requests that executed and produced results.
-    pub served: u64,
-    /// 429-style deadline sheds.
-    pub shed_deadline: u64,
-    /// 503-style queue-overflow rejections.
-    pub shed_queue_full: u64,
-    /// Served-request latency percentiles, nanoseconds.
-    pub p50_ns: u64,
-    /// p99 of served-request latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Worst served-request latency, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl OverloadOutcome {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("served".to_string(), Value::UInt(self.served)),
-            ("shed_deadline".to_string(), Value::UInt(self.shed_deadline)),
-            (
-                "shed_queue_full".to_string(),
-                Value::UInt(self.shed_queue_full),
-            ),
-            ("p50_ns".to_string(), Value::UInt(self.p50_ns)),
-            ("p99_ns".to_string(), Value::UInt(self.p99_ns)),
-            ("max_ns".to_string(), Value::UInt(self.max_ns)),
-        ])
-    }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Event-driven FIFO queue model: `workers` servers, bounded queue,
-/// deadline shedding at dispatch (using the *actual* service time as
-/// the cost estimate — an idealized EWMA). Deterministic: service
-/// times come in as data, arrivals are evenly spaced at
-/// `overload_factor ×` the modeled capacity.
-pub fn simulate_overload(service_ns: &[u64], cfg: &OverloadConfig) -> OverloadOutcome {
-    let workers = cfg.workers.max(1);
-    let n = cfg.n_requests.max(1);
-    if service_ns.is_empty() {
-        return OverloadOutcome {
-            served: 0,
-            shed_deadline: 0,
-            shed_queue_full: 0,
-            p50_ns: 0,
-            p99_ns: 0,
-            max_ns: 0,
-        };
-    }
-    let mean_service = (service_ns.iter().sum::<u64>() / service_ns.len().max(1) as u64).max(1)
-        + cfg.dispatch_overhead_ns;
-    // capacity (q/s) = workers / mean_service; arrivals at factor ×.
-    let interval_ns =
-        ((mean_service as f64 / workers as f64) / cfg.overload_factor.max(0.01)) as u64;
-
-    // Earliest-free worker pool as a sorted vec (workers is small).
-    let mut free_at: Vec<u64> = vec![0; workers];
-    let mut queued: VecDeque<(u64, u64)> = VecDeque::new(); // (arrival, service)
-    let mut latencies: Vec<u64> = Vec::with_capacity(n);
-    let mut shed_deadline = 0u64;
-    let mut shed_queue_full = 0u64;
-
-    let mut dispatch = |arrival: u64, service: u64, start: u64, free_slot: &mut u64| {
-        let wait = start.saturating_sub(arrival);
-        let cost = cfg.dispatch_overhead_ns + service;
-        if cfg.shed && cfg.deadline_ns > 0 && wait.saturating_add(cost) > cfg.deadline_ns {
-            // Shed: the worker only pays the rejection write.
-            shed_deadline += 1;
-            *free_slot = start + cfg.dispatch_overhead_ns;
-        } else {
-            let finish = start + cost;
-            latencies.push(finish - arrival);
-            *free_slot = finish;
-        }
-    };
-
-    for i in 0..n {
-        let arrival = i as u64 * interval_ns;
-        let service = service_ns[i % service_ns.len().max(1)];
-        // Dispatch every queued request whose worker frees before this
-        // arrival.
-        while let Some(slot) = free_at.iter().position(|&f| f <= arrival) {
-            let Some((qa, qs)) = queued.pop_front() else {
-                break;
-            };
-            let start = free_at[slot].max(qa);
-            dispatch(qa, qs, start, &mut free_at[slot]);
-        }
-        if cfg.queue_depth > 0 && queued.len() >= cfg.queue_depth {
-            shed_queue_full += 1;
-            continue;
-        }
-        queued.push_back((arrival, service));
-    }
-    // Drain the tail.
-    while let Some((qa, qs)) = queued.pop_front() {
-        let slot = free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &f)| f)
-            .map(|(idx, _)| idx)
-            .unwrap_or(0);
-        let start = free_at[slot].max(qa);
-        dispatch(qa, qs, start, &mut free_at[slot]);
-    }
-
-    latencies.sort_unstable();
-    OverloadOutcome {
-        served: latencies.len() as u64,
-        shed_deadline,
-        shed_queue_full,
-        p50_ns: percentile(&latencies, 0.50),
-        p99_ns: percentile(&latencies, 0.99),
-        max_ns: percentile(&latencies, 1.0),
-    }
-}
-
-/// The acceptance-criterion comparison: the same arrival schedule and
-/// service costs through (a) the shedding configuration and (b) an
-/// unbounded-queue, no-shedding control. Returns the JSON verdict;
-/// `pass` requires the shedding run to keep served-request p99 within
-/// the deadline while the control run blows through it.
-pub fn overload_compare(service_ns: &[u64], cfg: &OverloadConfig) -> Value {
-    let shedding = simulate_overload(service_ns, cfg);
-    let control = OverloadConfig {
-        shed: false,
-        queue_depth: 0,
-        ..*cfg
-    };
-    let unbounded = simulate_overload(service_ns, &control);
-    let pass = shedding.served > 0
-        && shedding.p99_ns <= cfg.deadline_ns
-        && unbounded.p99_ns > cfg.deadline_ns;
-    Value::Map(vec![
-        ("workers".to_string(), Value::UInt(cfg.workers as u64)),
-        (
-            "queue_depth".to_string(),
-            Value::UInt(cfg.queue_depth as u64),
-        ),
-        ("deadline_ns".to_string(), Value::UInt(cfg.deadline_ns)),
-        (
-            "overload_factor".to_string(),
-            Value::Float(cfg.overload_factor),
-        ),
-        ("n_requests".to_string(), Value::UInt(cfg.n_requests as u64)),
-        ("shedding".to_string(), shedding.to_value()),
-        ("unbounded".to_string(), unbounded.to_value()),
-        ("pass".to_string(), Value::Bool(pass)),
-    ])
-}
-
-/// Per-query service costs for the overload model, derived from real
-/// query stats exactly like the `--sim` load path does.
-pub fn service_costs(
-    searcher: &Searcher,
-    queries: &[String],
-    kind: ContextSetKind,
-    function: ScoreFunction,
-    limit: usize,
-) -> Vec<u64> {
-    queries
-        .iter()
-        .filter_map(|q| {
-            searcher
-                .query_with_stats(q, kind, function, limit)
-                .ok()
-                .map(|(_, stats)| sim_cost_ns(&stats))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,53 +383,5 @@ mod tests {
         );
         assert_eq!(host_port("127.0.0.1:9/").unwrap(), "127.0.0.1:9");
         assert!(host_port("http://nohostport").is_err());
-    }
-
-    #[test]
-    fn shedding_beats_unbounded_queueing_at_2x_overload() {
-        // Uniform 1 ms service cost, 2× overload, 50 ms deadline.
-        let service: Vec<u64> = vec![1_000_000; 16];
-        let cfg = OverloadConfig::default();
-        let verdict = overload_compare(&service, &cfg);
-        let pass = matches!(verdict.get("pass"), Some(Value::Bool(true)));
-        let shed_p99 = verdict
-            .get("shedding")
-            .and_then(|s| s.get("p99_ns"))
-            .and_then(Value::as_f64)
-            .unwrap() as u64;
-        let unbounded_p99 = verdict
-            .get("unbounded")
-            .and_then(|s| s.get("p99_ns"))
-            .and_then(Value::as_f64)
-            .unwrap() as u64;
-        assert!(
-            pass,
-            "expected shedding p99 {shed_p99} <= {} < unbounded p99 {unbounded_p99}",
-            cfg.deadline_ns
-        );
-        assert!(shed_p99 <= cfg.deadline_ns && unbounded_p99 > cfg.deadline_ns);
-    }
-
-    #[test]
-    fn overload_verdict_is_deterministic() {
-        let service: Vec<u64> = (0..32).map(|i| 500_000 + i * 37_000).collect();
-        let cfg = OverloadConfig::default();
-        let a = serde_json::to_string(&overload_compare(&service, &cfg)).unwrap();
-        let b = serde_json::to_string(&overload_compare(&service, &cfg)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn unbounded_control_serves_everything_eventually() {
-        let service: Vec<u64> = vec![2_000_000; 8];
-        let cfg = OverloadConfig {
-            shed: false,
-            queue_depth: 0,
-            n_requests: 500,
-            ..OverloadConfig::default()
-        };
-        let outcome = simulate_overload(&service, &cfg);
-        assert_eq!(outcome.served, 500);
-        assert_eq!(outcome.shed_deadline + outcome.shed_queue_full, 0);
     }
 }

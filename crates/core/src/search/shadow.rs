@@ -49,13 +49,10 @@ pub struct ShadowConfig {
     /// Top fraction compared between rankings (the paper's top-k%
     /// overlapping ratio).
     pub top_pct: f64,
-    /// Bounded queue depth between serve threads and the worker.
+    /// Bounded queue depth between serve threads and the worker; a
+    /// sample that finds it full is dropped (serving never blocks) and
+    /// counted.
     pub queue_capacity: usize,
-    /// When the queue is full: `false` drops the sample (serving never
-    /// blocks — the live default), `true` blocks the submitter (the
-    /// deterministic harness, where every sample must be evaluated for
-    /// byte-stable reports and latencies are virtual anyway).
-    pub block_when_full: bool,
 }
 
 impl Default for ShadowConfig {
@@ -68,7 +65,6 @@ impl Default for ShadowConfig {
             limit: 50,
             top_pct: 0.10,
             queue_capacity: 256,
-            block_when_full: false,
         }
     }
 }
@@ -89,7 +85,6 @@ pub struct QualityShadow {
     worker: Mutex<Option<JoinHandle<()>>>,
     aggregator: Arc<QualityAggregator>,
     sample_every: u64,
-    block_when_full: bool,
     submitted: AtomicU64,
     accepted: AtomicU64,
 }
@@ -108,7 +103,6 @@ impl QualityShadow {
                 worker: Mutex::new(None),
                 aggregator,
                 sample_every: 0,
-                block_when_full: false,
                 submitted: AtomicU64::new(0),
                 accepted: AtomicU64::new(0),
             };
@@ -130,7 +124,6 @@ impl QualityShadow {
             worker: Mutex::new(Some(worker)),
             aggregator,
             sample_every: config.sample_every,
-            block_when_full: config.block_when_full,
             submitted: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
         }
@@ -177,18 +170,12 @@ impl QualityShadow {
             shard,
             ts_ns,
         };
-        if self.block_when_full {
-            if tx.send(job).is_ok() {
+        match tx.try_send(job) {
+            Ok(()) => {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
             }
-        } else {
-            match tx.try_send(job) {
-                Ok(()) => {
-                    self.accepted.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    self.aggregator.add_dropped(1);
-                }
+            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
+                self.aggregator.add_dropped(1);
             }
         }
     }
@@ -371,7 +358,6 @@ mod tests {
             searcher,
             ShadowConfig {
                 sample_every: 2,
-                block_when_full: true,
                 ..Default::default()
             },
             Arc::clone(&agg),
@@ -425,7 +411,6 @@ mod tests {
             searcher.clone(),
             ShadowConfig {
                 sample_every: 1,
-                block_when_full: true,
                 ..Default::default()
             },
             Arc::clone(&agg),

@@ -55,8 +55,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::Histogram;
 pub use quality::{
     BaselineTolerances, DriftCheck, FunctionScores, QualityAggregator, QualityBaseline,
-    QualityDriftReport, QualityEvent, QualityReport, QualitySummary, QualityTracker, ScoreSketch,
-    SeriesMean,
+    QualityDriftReport, QualityEvent, QualityReport, QualitySummary, ScoreSketch, SeriesMean,
 };
 pub use rolling::{RollingConfig, RollingRecorder, WindowStats, SECOND_NS};
 pub use slo::{
@@ -90,12 +89,10 @@ struct SpanStats {
 /// gauges, histograms, span stats — **and** clears the live-serving
 /// attachments' state: an attached [`RollingRecorder`]'s windows are
 /// emptied, an attached [`SloTracker`]'s latched worst status returns
-/// to `Ok`, an attached [`SlowQueryLog`] is cleared, an attached
-/// [`QualityAggregator`]'s run accumulators and sketches are dropped,
-/// and an attached [`QualityTracker`]'s latched drift verdict returns
-/// to `Ok`. The attachments themselves stay attached and the enabled
-/// flag is unchanged, so a reset registry keeps feeding the same
-/// windows. A reset registry therefore reports empty windows until new
+/// to `Ok`, an attached [`SlowQueryLog`] is cleared, and an attached
+/// [`QualityAggregator`]'s run accumulators and sketches are dropped.
+/// The attachments themselves stay attached and the enabled flag is
+/// unchanged, so a reset registry keeps feeding the same windows. A reset registry therefore reports empty windows until new
 /// observations arrive.
 #[derive(Default)]
 pub struct Registry {
@@ -111,7 +108,6 @@ pub struct Registry {
     slo: Mutex<Option<Arc<SloTracker>>>,
     slowlog: Mutex<Option<Arc<SlowQueryLog>>>,
     quality: Mutex<Option<Arc<QualityAggregator>>>,
-    quality_tracker: Mutex<Option<Arc<QualityTracker>>>,
 }
 
 impl Registry {
@@ -128,7 +124,6 @@ impl Registry {
             slo: Mutex::new(None),
             slowlog: Mutex::new(None),
             quality: Mutex::new(None),
-            quality_tracker: Mutex::new(None),
         }
     }
 
@@ -168,9 +163,6 @@ impl Registry {
         }
         if let Some(quality) = self.quality.lock().as_ref() {
             quality.reset();
-        }
-        if let Some(tracker) = self.quality_tracker.lock().as_ref() {
-            tracker.reset();
         }
     }
 
@@ -226,17 +218,6 @@ impl Registry {
     /// The attached quality aggregator, if any.
     pub fn quality_aggregator(&self) -> Option<Arc<QualityAggregator>> {
         self.quality.lock().clone()
-    }
-
-    /// Attach a quality drift tracker so [`reset`](Self::reset) covers
-    /// its latched verdict and gates can find it.
-    pub fn attach_quality_tracker(&self, tracker: Arc<QualityTracker>) {
-        *self.quality_tracker.lock() = Some(tracker);
-    }
-
-    /// The attached quality drift tracker, if any.
-    pub fn quality_tracker(&self) -> Option<Arc<QualityTracker>> {
-        self.quality_tracker.lock().clone()
     }
 
     /// Add `delta` to a monotonic counter.
@@ -445,16 +426,6 @@ pub fn attach_quality(aggregator: Arc<QualityAggregator>) {
 /// The global registry's quality aggregator, if attached.
 pub fn quality_aggregator() -> Option<Arc<QualityAggregator>> {
     GLOBAL.quality_aggregator()
-}
-
-/// Attach a quality drift tracker to the global registry.
-pub fn attach_quality_tracker(tracker: Arc<QualityTracker>) {
-    GLOBAL.attach_quality_tracker(tracker);
-}
-
-/// The global registry's quality drift tracker, if attached.
-pub fn quality_tracker() -> Option<Arc<QualityTracker>> {
-    GLOBAL.quality_tracker()
 }
 
 /// Snapshot the global registry as a JSON string (the `/metrics`

@@ -26,13 +26,9 @@
 //! (`results/quality_baseline.json`): overlap bands in both directions
 //! (functions diverging *or* collapsing into one ranking), winning-
 //! context agreement, separability uniformity, and median-score shift.
-//! The [`QualityTracker`] latches the worst status ever observed,
-//! mirroring [`SloTracker`](crate::SloTracker), and is cleared by
-//! [`Registry::reset`](crate::Registry::reset) under the same contract
-//! as the SLO latch.
 //!
 //! Every series name below is a `'static` literal so the
-//! `span-name-drift` lint can anchor the names in
+//! `span-coverage` lint can anchor the names in
 //! `results/quality_baseline.json` to the source.
 
 use crate::rolling::RollingRecorder;
@@ -571,7 +567,7 @@ pub const BASELINE_VERSION: u32 = 1;
 /// The checked-in drift reference (`results/quality_baseline.json`):
 /// bands derived from a healthy deterministic run, plus the full
 /// quality series list (anchored to source literals by the
-/// `span-name-drift` lint so renames cannot silently detach the gate).
+/// `span-coverage` lint so renames cannot silently detach the gate).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QualityBaseline {
     /// Must equal [`BASELINE_MAGIC`].
@@ -920,48 +916,6 @@ impl QualityDriftReport {
     }
 }
 
-/// Baseline + latched worst status, mirroring
-/// [`SloTracker`](crate::SloTracker): a drift that fired mid-run stays
-/// visible in the end-of-run report.
-pub struct QualityTracker {
-    baseline: QualityBaseline,
-    latched: Mutex<SloStatus>,
-}
-
-impl QualityTracker {
-    /// A tracker judging against `baseline`.
-    pub fn new(baseline: QualityBaseline) -> Self {
-        Self {
-            baseline,
-            latched: Mutex::new(SloStatus::Ok),
-        }
-    }
-
-    /// The baseline judged against.
-    pub fn baseline(&self) -> &QualityBaseline {
-        &self.baseline
-    }
-
-    /// Evaluate a summary and fold the verdict into the latch.
-    pub fn evaluate(&self, summary: &QualitySummary) -> QualityDriftReport {
-        let report = self.baseline.evaluate(summary);
-        let mut latched = self.latched.lock();
-        *latched = (*latched).max(report.status);
-        report
-    }
-
-    /// The worst verdict any evaluation has seen since the last reset.
-    pub fn latched(&self) -> SloStatus {
-        *self.latched.lock()
-    }
-
-    /// Clear the latch back to `Ok`. Part of the
-    /// [`Registry::reset`](crate::Registry::reset) contract.
-    pub fn reset(&self) {
-        *self.latched.lock() = SloStatus::Ok;
-    }
-}
-
 /// Summary + optional drift verdict, rendered as JSON or markdown —
 /// the payload of `litsearch quality --report` and the `--quality`
 /// load reports.
@@ -1214,7 +1168,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_fires_on_overlap_collapse_and_latches() {
+    fn drift_fires_on_overlap_collapse() {
         let rec = recorder(1);
         let agg = QualityAggregator::new(Arc::clone(&rec), 10);
         for i in 0..10u64 {
@@ -1222,8 +1176,7 @@ mod tests {
         }
         let healthy = agg.summary_at(0);
         let baseline = QualityBaseline::from_summary(&healthy, 10, &BaselineTolerances::default());
-        let tracker = QualityTracker::new(baseline);
-        assert_eq!(tracker.evaluate(&healthy).status, SloStatus::Ok);
+        assert_eq!(baseline.evaluate(&healthy).status, SloStatus::Ok);
 
         // A second run where the functions collapse into one ranking:
         // overlap 1.0 blows past max_critical = 0.7.
@@ -1232,16 +1185,13 @@ mod tests {
         for i in 0..10u64 {
             agg2.record(&event(0, i * SECOND_NS, true, 1.0));
         }
-        let drifted = tracker.evaluate(&agg2.summary_at(0));
+        let drifted = baseline.evaluate(&agg2.summary_at(0));
         assert_eq!(drifted.status, SloStatus::Critical);
         assert!(drifted.has_hard_violation());
         assert!(drifted
             .checks
             .iter()
             .any(|c| c.name == "overlap-band" && c.status == SloStatus::Critical));
-        assert_eq!(tracker.latched(), SloStatus::Critical, "latch keeps worst");
-        tracker.reset();
-        assert_eq!(tracker.latched(), SloStatus::Ok);
     }
 
     #[test]

@@ -40,8 +40,9 @@ struct QueueInner {
 pub struct AdmissionQueue {
     inner: Mutex<QueueInner>,
     wakeup: Condvar,
-    /// Depth bound; `0` means unbounded (the control configuration the
-    /// overload comparison runs against — not recommended in service).
+    /// Depth bound; `0` means unbounded: the non-shedding control of
+    /// `tests/serve_overload.rs`, which at 2× capacity serves its p99
+    /// five deadlines late. Not for service.
     depth_bound: usize,
 }
 

@@ -118,7 +118,7 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
     let head_end = match find_head_end(buf) {
         Some(pos) => pos,
         None => {
-            if buf.len() > MAX_HEAD_BYTES {
+            if buf.len() > MAX_HEAD_BYTES && !terminator_may_start_by_cap(buf) {
                 return Parsed::Invalid(ParseError::HeadTooLarge);
             }
             return Parsed::Partial;
@@ -203,6 +203,16 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     // still resolves to HeadTooLarge rather than Partial forever).
     let scan = buf.get(..buf.len().min(MAX_HEAD_BYTES + 4)).unwrap_or(buf);
     scan.windows(4).position(|w| w == b"\r\n\r\n")
+}
+
+/// Whether a terminator-less `buf` longer than the cap ends in the
+/// first bytes of a `\r\n\r\n` that starts at or before the cap: a
+/// read that split the terminator of an at-cap head.
+fn terminator_may_start_by_cap(buf: &[u8]) -> bool {
+    (buf.len().saturating_sub(3)..=MAX_HEAD_BYTES).any(|start| {
+        buf.get(start..)
+            .is_some_and(|tail| b"\r\n\r\n".starts_with(tail))
+    })
 }
 
 /// Split `METHOD TARGET VERSION` and validate each token.

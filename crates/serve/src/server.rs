@@ -183,6 +183,10 @@ impl ServerHandle {
     }
 }
 
+/// Called by each worker inside `serve.http.exec`, after
+/// [`handle_request`] returns (see [`start_with_exec_hook`]).
+pub type ExecHook = Arc<dyn Fn() + Send + Sync>;
+
 /// Start a server with the default monotonic clock.
 pub fn start(searcher: Searcher, config: ServerConfig) -> std::io::Result<ServerHandle> {
     start_with_clock(searcher, config, Arc::new(MonotonicClock::new()))
@@ -194,6 +198,29 @@ pub fn start_with_clock(
     searcher: Searcher,
     config: ServerConfig,
     clock: Arc<dyn Clock>,
+) -> std::io::Result<ServerHandle> {
+    spawn_server(searcher, config, clock, None)
+}
+
+/// [`start_with_clock`], with `hook` run by the worker after each
+/// executed request and before its cost is measured: a test that parks
+/// the worker in the hook until its [`obs::ManualClock`] reaches a
+/// chosen time gives every request that execution cost
+/// (`tests/serve_overload.rs` drives overload this way).
+pub fn start_with_exec_hook(
+    searcher: Searcher,
+    config: ServerConfig,
+    clock: Arc<dyn Clock>,
+    hook: ExecHook,
+) -> std::io::Result<ServerHandle> {
+    spawn_server(searcher, config, clock, Some(hook))
+}
+
+fn spawn_server(
+    searcher: Searcher,
+    config: ServerConfig,
+    clock: Arc<dyn Clock>,
+    exec_hook: Option<ExecHook>,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
@@ -227,6 +254,7 @@ pub fn start_with_clock(
         deadline_ns: config.deadline_ns,
         shed: config.shed,
         keep_alive_idle_ns: config.keep_alive_idle_ns,
+        exec_hook,
     });
     let mut workers = Vec::with_capacity(config.workers.max(1));
     for index in 0..config.workers.max(1) {
@@ -260,6 +288,7 @@ struct WorkerParams {
     deadline_ns: u64,
     shed: bool,
     keep_alive_idle_ns: u64,
+    exec_hook: Option<ExecHook>,
 }
 
 fn acceptor_loop(
@@ -320,6 +349,7 @@ fn admit_conn(
     };
     match queue.enqueue_conn(conn) {
         Ok(depth) => {
+            stats.enqueued.fetch_add(1, Ordering::Relaxed);
             obs::counter("serve.admission.enqueued", 1);
             gauge.store(depth as u64, Ordering::Relaxed);
         }
@@ -511,7 +541,11 @@ fn handle_one(
     let exec_start_ns = clock.now_ns();
     let response = {
         let _exec_span = obs::span("serve.http.exec");
-        handle_request(state, request)
+        let response = handle_request(state, request);
+        if let Some(hook) = &params.exec_hook {
+            hook();
+        }
+        response
     };
     let exec_ns = clock.now_ns().saturating_sub(exec_start_ns);
     if request.target == "/v1/search" && response.status == 200 {

@@ -136,6 +136,54 @@ proptest! {
     }
 }
 
+/// A head whose terminator starts exactly at the cap is accepted however
+/// the reads split it: every strict prefix waits for more bytes.
+#[test]
+fn head_ending_at_the_cap_parses_across_split_reads() {
+    let mut raw = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+    let pad = serve::http::MAX_HEAD_BYTES - raw.len();
+    raw.extend(std::iter::repeat_n(b'a', pad));
+    raw.extend_from_slice(b"\r\n\r\n");
+    for cut in 0..raw.len() {
+        assert!(
+            matches!(parse_request(&raw[..cut]), Parsed::Partial),
+            "prefix of {cut}/{} bytes was not Partial",
+            raw.len()
+        );
+    }
+    match parse_request(&raw) {
+        Parsed::Complete(req, used) => {
+            assert_eq!(used, raw.len());
+            assert_eq!(req.header("x-pad").map(str::len), Some(pad));
+        }
+        other => panic!("at-cap head gave {other:?}"),
+    }
+}
+
+/// A body of exactly the cap is accepted; one declared byte more is
+/// refused before any of it is buffered.
+#[test]
+fn body_at_the_cap_is_accepted_and_one_byte_more_is_refused() {
+    let cap = serve::http::MAX_BODY_BYTES;
+    let raw = build_request("POST", "v1/search", &[], &vec![b'x'; cap]);
+    assert!(matches!(
+        parse_request(&raw[..raw.len() - 1]),
+        Parsed::Partial
+    ));
+    match parse_request(&raw) {
+        Parsed::Complete(req, used) => {
+            assert_eq!(used, raw.len());
+            assert_eq!(req.body.len(), cap);
+        }
+        other => panic!("at-cap body gave {other:?}"),
+    }
+    let over = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", cap + 1);
+    assert!(matches!(
+        parse_request(over.as_bytes()),
+        Parsed::Invalid(ParseError::BodyTooLarge)
+    ));
+}
+
 #[test]
 fn header_count_cap_is_enforced() {
     let mut raw = String::from("GET / HTTP/1.1\r\n");

@@ -215,7 +215,6 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
         threads: flags.get_usize("threads", 4)?,
         queries_per_thread: flags.get_usize("queries", 200)?,
         mode: LoopMode::Closed,
-        sim: flags.get_bool("sim"),
         limit: flags.get_usize("limit", 10)?,
         kind,
         function,
@@ -240,9 +239,7 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
     let (searcher, queries) = dashboard_workload(flags, seed)?;
 
     let harness = LoadHarness::new(config);
-    let report = if once || harness.config().sim {
-        // No live ticking: simulated time has no live timeline to
-        // watch, and --once wants exactly one report.
+    let report = if once {
         harness.run(&searcher, &queries)
     } else {
         harness.run_with_tick(&searcher, &queries, refresh_ms, |h| {
@@ -260,13 +257,13 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `litsearch quality`: run a deterministic simulated load with shadow
-/// scoring on and emit the ranking-quality report — per-function
-/// top-k overlap, winner agreement, score margins and distributions,
-/// plus a drift verdict when judged against a checked-in baseline.
+/// `litsearch quality`: shadow-score the sample stream of `--queries`
+/// queries under every prestige function and emit the ranking-quality
+/// report — per-function top-k overlap, winner agreement, score
+/// margins and distributions, plus a drift verdict when judged against
+/// a checked-in baseline. A pure function of the snapshot and the
+/// stream, so CI can diff it.
 fn cmd_quality(flags: &Flags) -> Result<(), String> {
-    use bench::load::{LoadConfig, LoadHarness, LoopMode, QualityLoadConfig};
-
     let seed = flags.get_usize("seed", 2007)? as u64;
     let report_kind = match flags.get("report").unwrap_or("md") {
         k @ ("json" | "md") => k,
@@ -280,31 +277,23 @@ fn cmd_quality(flags: &Flags) -> Result<(), String> {
         }
         None => None,
     };
-    let quality = QualityLoadConfig {
+    let n_queries = flags.get_usize("queries", 800)? as u64;
+    let shadow = litsearch::context_search::ShadowConfig {
         sample_every: flags.get_usize("sample-every", 4)?.max(1) as u64,
-        baseline,
-        ..Default::default()
-    };
-    let n_bins = quality.n_bins;
-    let config = LoadConfig {
-        threads: flags.get_usize("threads", 4)?,
-        queries_per_thread: flags.get_usize("queries", 200)?,
-        mode: LoopMode::Closed,
-        // Always simulated: the quality report is a deterministic,
-        // byte-stable function of the workload, so CI can diff it.
-        sim: true,
         limit: flags.get_usize("limit", 10)?,
-        quality: Some(quality),
         ..Default::default()
     };
+    let n_bins = 10;
 
     let (searcher, queries) = dashboard_workload(flags, seed)?;
-    let harness = LoadHarness::new(config);
-    let report = harness.run(&searcher, &queries);
-    let quality = report
-        .quality
-        .as_ref()
-        .expect("quality sampling was configured");
+    let quality = bench::load::quality_gate(
+        &searcher,
+        &queries,
+        n_queries,
+        &shadow,
+        n_bins,
+        baseline.as_ref(),
+    );
 
     let rendered = match report_kind {
         "json" => quality.to_json(),
@@ -326,7 +315,11 @@ fn cmd_quality(flags: &Flags) -> Result<(), String> {
         std::fs::write(path, derived.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("quality baseline: {path}");
     }
-    if report.has_quality_drift() {
+    if quality
+        .drift
+        .as_ref()
+        .is_some_and(|d| d.has_hard_violation())
+    {
         if flags.get_bool("fail-on-drift") {
             return Err("ranking-quality drift is critical (see report)".to_string());
         }
@@ -490,8 +483,8 @@ USAGE:
   litsearch trace    --file PATH
   litsearch top      [--snapshot DIR] [--threads N] [--queries N] [--window SECS]
                      [--slow-threshold-ms MS] [--error-every N] [--refresh-ms MS]
-                     [--sim] [--once] [--json] [--quality N]
-  litsearch quality  [--snapshot DIR] [--threads N] [--queries N] [--sample-every N]
+                     [--once] [--json] [--quality N]
+  litsearch quality  [--snapshot DIR] [--queries N] [--sample-every N]
                      [--baseline PATH] [--write-baseline PATH] [--report json|md]
                      [--out PATH] [--fail-on-drift]
   litsearch serve    [--snapshot DIR] [--addr HOST] [--port P] [--workers N]
@@ -529,17 +522,17 @@ when no `--snapshot` is given) and renders a live terminal dashboard:
 rolling-window p50/p95/p99 per pipeline stage, SLO burn rates, and the
 slow-query leaderboard with captured explain traces. `--once` runs one
 batch and prints a single report; `--json` emits it machine-readable
-(the CI artifact form); `--sim` uses deterministic simulated timing.
-`--quality N` shadow-scores one of every N queries under all three
-prestige functions and adds the ranking-quality panel.
+(the CI artifact form). `--quality N` shadow-scores one of every N
+queries under all three prestige functions and adds the
+ranking-quality panel.
 
-`quality` runs a deterministic simulated load with shadow scoring on
-and emits the ranking-quality report: per-function top-k overlap,
-winning-context agreement, score margins and per-context score
-distributions. `--baseline PATH` judges the run against a checked-in
-baseline (warn/critical drift bands); `--fail-on-drift` turns a
-critical verdict into a nonzero exit; `--write-baseline PATH` derives
-a fresh baseline from this run.
+`quality` shadow-scores every `--sample-every`-th of `--queries`
+queries on one thread, with no load, and emits the ranking-quality
+report: per-function top-k overlap, winning-context agreement, score
+margins and per-context score distributions. `--baseline PATH` judges
+the run against a checked-in baseline (warn/critical drift bands);
+`--fail-on-drift` turns a critical verdict into a nonzero exit;
+`--write-baseline PATH` derives a fresh baseline from this run.
 
 `serve` puts the snapshot behind the hand-rolled HTTP/1.1 frontend:
 POST /v1/search (JSON body: query, kind, function, limit — response
@@ -562,7 +555,7 @@ struct Flags {
 }
 
 /// Flags that take no value (presence means `true`).
-const BOOL_FLAGS: &[&str] = &["once", "json", "sim", "quiet", "fail-on-drift", "no-shed"];
+const BOOL_FLAGS: &[&str] = &["once", "json", "quiet", "fail-on-drift", "no-shed"];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Self, String> {

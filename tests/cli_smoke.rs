@@ -496,14 +496,12 @@ fn prepare_then_snapshot_search_through_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `top --once --json` under `--sim`: one deterministic simulated
-/// batch over the in-process demo snapshot, with the machine-readable
-/// dashboard report (the CI artifact form) on stdout.
+/// `top --once --json`: one batch over the in-process demo snapshot,
+/// with the machine-readable dashboard report on stdout.
 #[test]
-fn top_once_json_sim_emits_the_dashboard_report() {
+fn top_once_json_emits_the_dashboard_report() {
     let out = litsearch(&[
         "top",
-        "--sim",
         "--once",
         "--json",
         "--threads",
@@ -528,12 +526,10 @@ fn top_once_json_sim_emits_the_dashboard_report() {
     assert!(v.get("quality").is_none(), "{stdout}");
 
     // --quality N adds the ranking-quality block: sampled queries,
-    // pairwise overlaps, and per-function score distributions. In sim
-    // mode the submitter blocks instead of dropping, so every sampled
-    // query is evaluated.
+    // pairwise overlaps, and per-function score distributions. The
+    // shadow queue holds more than the run's 10 samples, so none drop.
     let out = litsearch(&[
         "top",
-        "--sim",
         "--once",
         "--json",
         "--threads",
@@ -554,7 +550,7 @@ fn top_once_json_sim_emits_the_dashboard_report() {
     let sampled = quality.get("sampled").and_then(|s| s.as_f64()).unwrap();
     assert!(sampled >= 1.0, "no shadow-scored queries: {stdout}");
     let dropped = quality.get("dropped").and_then(|d| d.as_f64()).unwrap();
-    assert_eq!(dropped, 0.0, "sim mode must not drop samples: {stdout}");
+    assert_eq!(dropped, 0.0, "no sample may drop: {stdout}");
     assert!(
         quality
             .get("overlaps")
@@ -575,10 +571,8 @@ fn quality_subcommand_is_deterministic_and_round_trips_its_baseline() {
 
     let args = [
         "quality",
-        "--threads",
-        "2",
         "--queries",
-        "24",
+        "48",
         "--sample-every",
         "2",
         "--report",
@@ -604,10 +598,8 @@ fn quality_subcommand_is_deterministic_and_round_trips_its_baseline() {
     // the gate armed: same workload, so the verdict must be clean.
     let out = litsearch(&[
         "quality",
-        "--threads",
-        "2",
         "--queries",
-        "24",
+        "48",
         "--sample-every",
         "2",
         "--write-baseline",
@@ -622,10 +614,8 @@ fn quality_subcommand_is_deterministic_and_round_trips_its_baseline() {
     );
     let judged = litsearch(&[
         "quality",
-        "--threads",
-        "2",
         "--queries",
-        "24",
+        "48",
         "--sample-every",
         "2",
         "--baseline",

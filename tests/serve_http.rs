@@ -15,6 +15,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -200,6 +201,11 @@ fn graceful_drain_answers_all_admitted_requests_then_closes_listener() {
         assert!(body.starts_with(b"{\"count\":"), "truncated drain response");
     }
     drop(streams);
+    assert_eq!(
+        handle.stats().enqueued.load(Ordering::Relaxed),
+        4,
+        "every accepted connection was admitted to the queue"
+    );
 
     let summary = handle.await_drained();
     assert_eq!(summary.accepted, 4);

@@ -1,9 +1,12 @@
-//! The live-observability acceptance bar: a simulated 8-thread load
-//! run produces **bit-identical** windowed percentiles and SLO
-//! burn-rate output across runs, and every threshold-crossing slow
-//! query carries a captured explain trace.
+//! The live-observability acceptance bar on wall-clock load runs:
+//! every threshold-crossing slow query carries a captured explain
+//! trace, and one run renders both the dashboard and the SLO report.
+//! The runs attach a process-global rolling recorder, so each check
+//! holds whatever spans other tests add to it. Deterministic latency
+//! and SLO checks run on the real server under a manual clock in
+//! `tests/serve_overload.rs`.
 
-use litsearch::bench::load::{LoadConfig, LoadHarness, LoadReport, LoopMode};
+use litsearch::bench::load::{LoadConfig, LoadHarness};
 use litsearch::context_search::Searcher;
 use litsearch::corpus::queries::{generate_queries, QueryConfig};
 use litsearch::demo::{snapshot, Scale};
@@ -27,12 +30,10 @@ fn testbed() -> &'static (Searcher, Vec<String>) {
     })
 }
 
-fn sim_config(threads: usize) -> LoadConfig {
+fn small_config(threads: usize) -> LoadConfig {
     LoadConfig {
         threads,
         queries_per_thread: 50,
-        sim: true,
-        slow_threshold_ns: 400_000,
         slow_capacity: 8,
         error_every: 40,
         ..Default::default()
@@ -40,30 +41,26 @@ fn sim_config(threads: usize) -> LoadConfig {
 }
 
 #[test]
-fn eight_thread_simulated_runs_are_bit_identical() {
-    let (searcher, queries) = testbed();
-    let run = || {
-        let harness = LoadHarness::new(sim_config(8));
-        harness.run(searcher, queries).to_json()
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "windowed p50/p95/p99 and SLO burn must reproduce");
-    // The report actually carries the serving series and burn rates.
-    assert!(a.contains("\"serve.query\""));
-    assert!(a.contains("\"burn_rate\""));
-    assert!(a.contains("\"p99_ns\""));
-}
-
-#[test]
 fn every_slow_query_carries_a_captured_explain_trace() {
     let (searcher, queries) = testbed();
     let harness = LoadHarness::new(LoadConfig {
         slow_threshold_ns: 1, // everything crosses the bar
-        ..sim_config(4)
+        ..small_config(4)
     });
     let report = harness.run(searcher, queries);
     assert!(!report.slow.is_empty(), "threshold 1 ns must catch queries");
+    // Wall-clock order decides which queries make the leaderboard; a
+    // query with no results has no score decomposition to explain.
+    let results = |slow: &obs::SlowQuery| {
+        slow.stats
+            .iter()
+            .find(|(k, _)| k == "results")
+            .map_or(0, |&(_, v)| v)
+    };
+    assert!(
+        report.slow.iter().any(|slow| results(slow) > 0),
+        "the leaderboard holds a query with results"
+    );
     for slow in &report.slow {
         assert!(
             slow.duration_ns >= harness.slowlog().threshold_ns(),
@@ -78,36 +75,11 @@ fn every_slow_query_carries_a_captured_explain_trace() {
             "trace spans the search pipeline"
         );
         assert!(
-            trace.events.iter().any(|e| e.name == "explain.hit"),
-            "trace carries the score decomposition instants"
+            results(slow) == 0 || trace.events.iter().any(|e| e.name == "explain.hit"),
+            "trace of {:?} lacks the score decomposition instants",
+            slow.query
         );
     }
-}
-
-#[test]
-fn open_loop_overload_shows_queueing_latency() {
-    let (searcher, queries) = testbed();
-    let p99 = |r: &LoadReport| {
-        r.windows
-            .iter()
-            .find(|w| w.name == "serve.query")
-            .expect("serve series present")
-            .p99_ns
-    };
-    let closed = LoadHarness::new(sim_config(2)).run(searcher, queries);
-    let open = LoadHarness::new(LoadConfig {
-        mode: LoopMode::Open {
-            qps_per_worker: 1e6, // arrivals far above service capacity
-        },
-        ..sim_config(2)
-    })
-    .run(searcher, queries);
-    assert!(
-        p99(&open) > p99(&closed),
-        "open-loop latency includes queue wait: open {} vs closed {}",
-        p99(&open),
-        p99(&closed)
-    );
 }
 
 #[test]
@@ -116,10 +88,13 @@ fn dashboard_and_slo_report_render_from_one_run() {
     let report = LoadHarness::new(LoadConfig {
         error_every: 2, // hard availability violation
         capture_traces: false,
-        ..sim_config(2)
+        ..small_config(2)
     })
     .run(searcher, queries);
     assert!(report.has_hard_violation());
+    let json = report.to_json();
+    assert!(json.contains("\"serve.query\""), "{json}");
+    assert!(json.contains("\"burn_rate\""), "{json}");
     let dash = report.render_dashboard();
     assert!(dash.contains("serving dashboard"));
     assert!(dash.contains("CRITICAL"));
