@@ -12,11 +12,9 @@
 pub mod diff;
 pub mod experiments;
 pub mod load;
-pub mod netload;
 pub mod setup;
 
 pub use diff::{diff_snapshots, DiffReport, DiffThresholds, SpanDiff, SpanVerdict};
 pub use experiments::*;
-pub use load::{default_serve_slos, quality_gate, LoadConfig, LoadHarness, LoadReport, LoopMode};
-pub use netload::{network_serve_slos, run_network, NetLoadReport};
+pub use load::{network_serve_slos, quality_gate, LoadConfig, LoadHarness, LoadReport, LoopMode};
 pub use setup::{ExpConfig, Setup};

@@ -1,52 +1,49 @@
-//! Closed-loop load generation over a shared lock-free [`Searcher`],
-//! feeding the live-observability layer.
+//! Load over the wire, and the ranking-quality drift gate.
 //!
-//! N worker threads drive queries against one snapshot and record
-//! end-to-end latencies into a sharded [`RollingRecorder`]; at the end
-//! (and, live, on every tick) the harness reads windowed per-stage
-//! stats, evaluates the configured SLOs, and reports the slow-query
-//! leaderboard with captured explain traces.
+//! [`LoadHarness::run`] drives keep-alive `POST /v1/search` requests at
+//! a running server from N client threads, in a closed loop (a thread
+//! sends its next request when the previous answer arrives) or an open
+//! loop (arrivals at a fixed per-thread rate; latency is anchored at
+//! the scheduled arrival, so time spent waiting on the server counts
+//! and there is no coordinated omission). Client-observed latency lands
+//! in the `client.request` rolling series, `429` deadline sheds and
+//! `503` door rejections in `client.shed`: a shed is the server keeping
+//! its latency promise, not a failure, but a nominal-load run should
+//! shed nothing (CI's serve-smoke gates on exactly that). The slowest
+//! answers enter a leaderboard under their query text.
 //!
-//! Latencies are wall-clock measurements from a [`MonotonicClock`];
-//! the harness also enables global metrics and attaches its recorder
-//! to the registry, so per-stage span durations (`engine.search`,
-//! `search.*`) stream into their own windowed series. Each worker
-//! issues its next query the moment the previous completes (latency =
-//! service time). Open-loop arrivals, whose latency includes queue
-//! wait, need a server to queue in: [`crate::netload::run_network`]
-//! paces them over the wire.
-//!
-//! Slow-query capture: any query whose latency reaches the threshold
-//! is re-executed once with the global tracer armed — queries are
-//! deterministic, so the re-execution *is* the slow execution.
-//! Captures are serialized behind a process-wide mutex and filtered to
-//! the capturing thread's events, so concurrent workers never
-//! interleave their explain traces.
+//! [`LoadHarness::report`] reads the windows, the SLO burn rates and
+//! the leaderboard into one [`LoadReport`]. When the server runs in the
+//! same process (`litsearch top` without `--target`), its own spans
+//! (`serve.http.*`, `serve.query`, `search.*`) stream into the same
+//! recorder, so every other row of the report is time the server
+//! measured. Overload is checked on the real server under a manual
+//! clock, in `tests/serve_overload.rs`.
 //!
 //! [`quality_gate`] is the ranking-quality drift gate: a sample stream
-//! shadow-scored on the calling thread, with no load harness and no
-//! time passing.
+//! shadow-scored on the calling thread, with no load and no time
+//! passing.
 
-use context_search::{
-    shadow_evaluate, ContextSetKind, QualityShadow, ScoreFunction, Searcher, ShadowConfig,
-};
+use context_search::{shadow_evaluate, ContextSetKind, ScoreFunction, Searcher, ShadowConfig};
 use obs::{
-    Clock, ManualClock, MonotonicClock, QualityAggregator, QualityBaseline, QualityReport,
-    RollingConfig, RollingRecorder, SloReport, SloSpec, SloTracker, SlowQuery, SlowQueryLog,
-    TraceData, WindowStats,
+    ManualClock, QualityAggregator, QualityBaseline, QualityReport, RollingConfig, RollingRecorder,
+    SloReport, SloSpec, SlowQuery, SlowQueryLog, WindowStats,
 };
 use serde::Value;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// How workers pace their queries.
+/// How client threads pace their requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoopMode {
-    /// Next query starts when the previous one completes.
+    /// Next request starts when the previous one is answered.
     Closed,
-    /// Arrivals at a fixed per-worker rate; latency includes queueing.
+    /// Arrivals at a fixed per-thread rate; latency includes queueing.
     Open {
-        /// Arrival rate per worker, queries per second.
+        /// Arrival rate per client thread, requests per second.
         qps_per_worker: f64,
     },
 }
@@ -63,94 +60,38 @@ impl LoopMode {
 /// Shape of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Worker threads (each owns one rolling shard).
+    /// Client threads, each with one keep-alive connection.
     pub threads: usize,
-    /// Queries issued per worker.
+    /// Requests sent per client thread.
     pub queries_per_thread: usize,
-    /// Closed or open loop. [`LoadHarness::run`] drives closed loops
-    /// only; open loops pace arrivals over the wire
-    /// ([`crate::netload::run_network`]).
+    /// Closed or open loop.
     pub mode: LoopMode,
-    /// Result limit per query.
+    /// Result limit per request.
     pub limit: usize,
-    /// Context paper set served.
+    /// Context paper set asked for.
     pub kind: ContextSetKind,
-    /// Prestige function served.
+    /// Prestige function asked for.
     pub function: ScoreFunction,
-    /// Window the final report reads, seconds.
+    /// Window the report reads, seconds.
     pub window_secs: u64,
-    /// Slow-query threshold, nanoseconds.
+    /// Slow-query threshold, and the bound of the latency objective
+    /// ([`network_serve_slos`]), nanoseconds.
     pub slow_threshold_ns: u64,
     /// Slow-query leaderboard size.
     pub slow_capacity: usize,
-    /// Capture an explain trace for each slow query.
-    pub capture_traces: bool,
-    /// Record every Nth query as an error (0 = none) — synthetic
-    /// unavailability for exercising burn-rate alerts end to end.
-    pub error_every: u64,
-    /// Objectives evaluated over the run.
-    pub slos: Vec<SloSpec>,
-    /// Shadow-score a sample of queries and report ranking quality
-    /// (`None` = off; the serve path is untouched either way).
-    pub quality: Option<QualityLoadConfig>,
 }
 
-/// Quality-observability knobs for one load run.
-#[derive(Debug, Clone)]
-pub struct QualityLoadConfig {
-    /// Shadow-score one of every `sample_every` queries (>= 1).
-    pub sample_every: u64,
-    /// Top fraction compared between the functions' rankings.
-    pub top_pct: f64,
-    /// Separability sketch bins.
-    pub n_bins: usize,
-    /// Bounded queue depth to the shadow worker; overflow samples are
-    /// dropped and counted.
-    pub queue_capacity: usize,
-}
-
-impl Default for QualityLoadConfig {
-    fn default() -> Self {
-        Self {
-            sample_every: 4,
-            top_pct: 0.10,
-            n_bins: 10,
-            queue_capacity: 256,
-        }
-    }
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        Self {
-            threads: 4,
-            queries_per_thread: 100,
-            mode: LoopMode::Closed,
-            limit: 10,
-            kind: ContextSetKind::PatternBased,
-            function: ScoreFunction::Pattern,
-            window_secs: 60,
-            slow_threshold_ns: 50 * 1_000_000,
-            slow_capacity: 16,
-            capture_traces: true,
-            error_every: 0,
-            slos: default_serve_slos(50 * 1_000_000),
-            quality: None,
-        }
-    }
-}
-
-/// The stock serving objectives: "99% of `serve.query` under the
-/// threshold" and "99.9% of queries succeed".
-pub fn default_serve_slos(latency_threshold_ns: u64) -> Vec<SloSpec> {
+/// The serving objectives on client-observed latency: p99 of
+/// `client.request` under the threshold, and 99.9% non-error responses.
+pub fn network_serve_slos(latency_threshold_ns: u64) -> Vec<SloSpec> {
     vec![
         SloSpec::latency(
-            "serve-latency-p99",
-            "serve.query",
+            "serve-http-latency-p99",
+            "client.request",
             latency_threshold_ns,
             0.99,
         ),
-        SloSpec::availability("serve-availability", "serve.query", 0.999),
+        SloSpec::availability("serve-http-availability", "client.request", 0.999),
     ]
 }
 
@@ -193,346 +134,352 @@ pub fn quality_gate(
     QualityReport { summary, drift }
 }
 
-/// Serializes slow-query trace captures: the global tracer is a single
-/// sink, so only one worker may arm it at a time.
-static CAPTURE: Mutex<()> = Mutex::new(());
+/// `http://host:port` (or bare `host:port`) → `host:port`.
+pub fn host_port(target: &str) -> Result<String, String> {
+    let stripped = target
+        .strip_prefix("http://")
+        .unwrap_or(target)
+        .trim_end_matches('/');
+    if stripped.is_empty() || !stripped.contains(':') {
+        return Err(format!("target {target:?} must look like http://HOST:PORT"));
+    }
+    Ok(stripped.to_string())
+}
 
-/// Re-execute `query` with the global tracer armed and return this
-/// thread's events — the explain trace of the (deterministic) slow
-/// execution. Goes through the span-free [`Searcher::search_with_stats`]
-/// path so the re-execution never lands a second `serve.query`
-/// observation in an attached rolling recorder.
-fn capture_explain_trace(
-    searcher: &Searcher,
+/// Answers counted over one run.
+#[derive(Default)]
+struct Tallies {
+    requests: AtomicU64,
+    errors: AtomicU64,
+    shed: AtomicU64,
+    rejected: AtomicU64,
+    transport_errors: AtomicU64,
+}
+
+/// One load run: the configuration, the server it drives, and what the
+/// run has observed so far.
+pub struct LoadHarness {
+    config: LoadConfig,
+    target: String,
+    host: String,
+    rolling: Arc<RollingRecorder>,
+    slowlog: SlowQueryLog,
+    tallies: Tallies,
+    /// Clock reading when [`run`](Self::run) started.
+    start_ns: u64,
+    /// Clock reading when [`run`](Self::run) returned.
+    end_ns: Option<u64>,
+}
+
+impl LoadHarness {
+    /// A run against `target` (`http://HOST:PORT`) that records into
+    /// `rolling` and reads time from its clock.
+    pub fn new(
+        config: LoadConfig,
+        target: &str,
+        rolling: Arc<RollingRecorder>,
+    ) -> Result<Self, String> {
+        let host = host_port(target)?;
+        let slowlog = SlowQueryLog::new(config.slow_threshold_ns, config.slow_capacity);
+        let start_ns = rolling.clock().now_ns();
+        Ok(Self {
+            config,
+            target: target.to_string(),
+            host,
+            rolling,
+            slowlog,
+            tallies: Tallies::default(),
+            start_ns,
+            end_ns: None,
+        })
+    }
+
+    /// Drive the load to completion, calling `tick` every `tick_ms`
+    /// milliseconds from the calling thread while clients are busy
+    /// (live dashboard hook; `tick_ms = 0` disables ticking). Client
+    /// `w` asks query `(w × queries_per_thread + i) mod queries.len()`
+    /// as its `i`-th request.
+    pub fn run(&mut self, queries: &[String], tick_ms: u64, mut tick: impl FnMut(&Self)) {
+        self.start_ns = self.rolling.clock().now_ns();
+        let this = &*self;
+        let cfg = &this.config;
+        let threads = cfg.threads.max(1);
+        let live_clients = AtomicU64::new(threads as u64);
+        if !queries.is_empty() {
+            std::thread::scope(|scope| {
+                for w in 0..threads {
+                    let live_clients = &live_clients;
+                    scope.spawn(move || {
+                        let mut client = Client::default();
+                        for i in 0..cfg.queries_per_thread {
+                            let query = &queries[(w * cfg.queries_per_thread + i) % queries.len()];
+                            this.send(&mut client, w, i, query);
+                        }
+                        live_clients.fetch_sub(1, Ordering::Relaxed);
+                    });
+                }
+                if tick_ms > 0 {
+                    while live_clients.load(Ordering::Relaxed) > 0 {
+                        std::thread::sleep(Duration::from_millis(tick_ms));
+                        tick(this);
+                    }
+                }
+            });
+        }
+        self.end_ns = Some(self.rolling.clock().now_ns());
+    }
+
+    /// Send client `w`'s `i`-th request and record its answer.
+    fn send(&self, client: &mut Client, w: usize, i: usize, query: &str) {
+        let cfg = &self.config;
+        let clock = self.rolling.clock();
+        let request = search_request(&self.host, query, cfg.kind, cfg.function, cfg.limit);
+        let anchor_ns = match cfg.mode {
+            LoopMode::Closed => clock.now_ns(),
+            LoopMode::Open { qps_per_worker } => {
+                let arrival_ns =
+                    self.start_ns + ((i as f64) * 1e9 / qps_per_worker.max(0.000_001)) as u64;
+                let now = clock.now_ns();
+                if arrival_ns > now {
+                    std::thread::sleep(Duration::from_nanos(arrival_ns - now));
+                }
+                arrival_ns
+            }
+        };
+        let outcome = client.exchange(&self.host, &request);
+        let completion_ns = clock.now_ns();
+        let latency_ns = completion_ns.saturating_sub(anchor_ns);
+
+        let t = &self.tallies;
+        t.requests.fetch_add(1, Ordering::Relaxed);
+        let (series, error) = match outcome {
+            Ok(429) => {
+                t.shed.fetch_add(1, Ordering::Relaxed);
+                ("client.shed", false)
+            }
+            Ok(503) => {
+                t.rejected.fetch_add(1, Ordering::Relaxed);
+                ("client.shed", false)
+            }
+            Ok(status) => {
+                if self.slowlog.is_slow(latency_ns) {
+                    self.slowlog.push(SlowQuery {
+                        query: query.to_string(),
+                        duration_ns: latency_ns,
+                        ts_ns: completion_ns,
+                        stats: vec![("status".to_string(), u64::from(status))],
+                    });
+                }
+                ("client.request", status >= 400)
+            }
+            Err(_) => {
+                t.transport_errors.fetch_add(1, Ordering::Relaxed);
+                ("client.request", true)
+            }
+        };
+        if error {
+            t.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.rolling
+            .record_at(w, series, completion_ns, latency_ns, error);
+    }
+
+    /// A report at the clock's current reading: what a live dashboard
+    /// tick renders mid-run, and the final report once [`run`](Self::run)
+    /// has returned.
+    pub fn report(&self) -> LoadReport {
+        let at_ns = self.rolling.clock().now_ns();
+        let end_ns = self.end_ns.unwrap_or(at_ns);
+        let t = &self.tallies;
+        LoadReport {
+            threads: self.config.threads,
+            mode: self.config.mode.name(),
+            target: self.target.clone(),
+            total_queries: t.requests.load(Ordering::Relaxed),
+            errors: t.errors.load(Ordering::Relaxed),
+            shed: t.shed.load(Ordering::Relaxed),
+            rejected: t.rejected.load(Ordering::Relaxed),
+            transport_errors: t.transport_errors.load(Ordering::Relaxed),
+            wall_ns: end_ns.saturating_sub(self.start_ns),
+            window_secs: self.config.window_secs,
+            windows: self.rolling.snapshot_at(self.config.window_secs, at_ns),
+            slo: obs::slo::evaluate_at(
+                &self.rolling,
+                &network_serve_slos(self.config.slow_threshold_ns),
+                &obs::default_burn_windows(),
+                at_ns,
+            ),
+            slow: self.slowlog.leaderboard(),
+            quality: None,
+        }
+    }
+}
+
+/// One client thread's keep-alive connection and read buffer.
+#[derive(Default)]
+struct Client {
+    conn: Option<TcpStream>,
+    scratch: Vec<u8>,
+}
+
+impl Client {
+    /// Send `request` and read its answer's status. A stale keep-alive
+    /// socket dies on first use, so a failure is retried once on a
+    /// fresh connection.
+    fn exchange(&mut self, host: &str, request: &[u8]) -> Result<u16, String> {
+        let mut last_err = String::new();
+        for _attempt in 0..2 {
+            let stream = match self.conn.as_mut() {
+                Some(stream) => stream,
+                None => {
+                    let fresh =
+                        TcpStream::connect(host).map_err(|err| format!("connect {host}: {err}"))?;
+                    let _ = fresh.set_nodelay(true);
+                    let _ = fresh.set_read_timeout(Some(Duration::from_millis(100)));
+                    self.conn.insert(fresh)
+                }
+            };
+            let got = match stream.write_all(request) {
+                Ok(()) => read_response(stream, &mut self.scratch),
+                Err(err) => Err(format!("write failed: {err}")),
+            };
+            match got {
+                Ok((status, close)) => {
+                    if close {
+                        self.conn = None;
+                        self.scratch.clear();
+                    }
+                    return Ok(status);
+                }
+                Err(err) => {
+                    self.conn = None;
+                    self.scratch.clear();
+                    last_err = err;
+                }
+            }
+        }
+        Err(last_err)
+    }
+}
+
+/// Build the `/v1/search` request bytes for one query.
+fn search_request(
+    host: &str,
     query: &str,
     kind: ContextSetKind,
     function: ScoreFunction,
     limit: usize,
-) -> Option<TraceData> {
-    let _serialize = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-    let prestige = searcher.prestige(kind, function)?;
-    let tid = obs::trace::current_tid();
-    obs::trace_start();
-    let _ = searcher.search_with_stats(query, searcher.sets(kind), prestige, limit);
-    obs::trace_finish().map(|data| data.filter_tid(tid))
+) -> Vec<u8> {
+    let body = serde_json::to_string(&Value::Map(vec![
+        ("query".to_string(), Value::Str(query.to_string())),
+        ("kind".to_string(), Value::Str(kind.name().to_string())),
+        (
+            "function".to_string(),
+            Value::Str(function.name().to_string()),
+        ),
+        ("limit".to_string(), Value::UInt(limit as u64)),
+    ]))
+    .expect("request body serializes");
+    let mut bytes = format!(
+        "POST /v1/search HTTP/1.1\r\nhost: {host}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    bytes.extend_from_slice(body.as_bytes());
+    bytes
 }
 
-/// One load run's worth of shared observability state plus the
-/// configuration to drive it.
-pub struct LoadHarness {
-    config: LoadConfig,
-    rolling: Arc<RollingRecorder>,
-    slo: Arc<SloTracker>,
-    slowlog: Arc<SlowQueryLog>,
-    clock: Arc<dyn Clock>,
-    queries_issued: AtomicU64,
-    errors_seen: AtomicU64,
-    /// Quality aggregation, when the run shadow-scores (its series
-    /// land in `rolling`, so dashboards show them alongside latency).
-    quality_agg: Option<Arc<QualityAggregator>>,
-}
-
-impl LoadHarness {
-    /// Build the harness around a fresh monotonic clock.
-    pub fn new(config: LoadConfig) -> Self {
-        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        // The ring must answer the report's window; sizing it to the
-        // configured window (min 60 s) keeps memory bounded.
-        let rolling = Arc::new(RollingRecorder::new(
-            RollingConfig {
-                bucket_secs: 1,
-                window_secs: config.window_secs.max(60),
-                shards: config.threads.max(1),
-            },
-            clock.clone(),
-        ));
-        let slo = Arc::new(SloTracker::new(
-            config.slos.clone(),
-            obs::default_burn_windows(),
-        ));
-        let slowlog = Arc::new(SlowQueryLog::new(
-            config.slow_threshold_ns,
-            config.slow_capacity,
-        ));
-        let quality_agg = config
-            .quality
-            .as_ref()
-            .map(|qc| Arc::new(QualityAggregator::new(rolling.clone(), qc.n_bins)));
-        Self {
-            config,
-            rolling,
-            slo,
-            slowlog,
-            clock,
-            queries_issued: AtomicU64::new(0),
-            errors_seen: AtomicU64::new(0),
-            quality_agg,
+/// Read one `content-length`-framed response. Returns the status code
+/// and whether the server asked to close the connection.
+fn read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Result<(u16, bool), String> {
+    scratch.clear();
+    let mut chunk = [0u8; 8192];
+    let mut fill = |scratch: &mut Vec<u8>, eof: &str| -> Result<(), String> {
+        match stream.read(&mut chunk) {
+            Ok(0) => Err(eof.to_string()),
+            Ok(n) => {
+                scratch.extend_from_slice(&chunk[..n]);
+                Ok(())
+            }
+            Err(err)
+                if err.kind() == ErrorKind::WouldBlock || err.kind() == ErrorKind::TimedOut =>
+            {
+                Ok(())
+            }
+            Err(err) => Err(format!("read failed: {err}")),
         }
-    }
-
-    /// The harness's rolling recorder (live dashboards read it).
-    pub fn rolling(&self) -> &Arc<RollingRecorder> {
-        &self.rolling
-    }
-
-    /// The harness's SLO tracker.
-    pub fn slo(&self) -> &Arc<SloTracker> {
-        &self.slo
-    }
-
-    /// The harness's slow-query log.
-    pub fn slowlog(&self) -> &Arc<SlowQueryLog> {
-        &self.slowlog
-    }
-
-    /// The harness clock.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
-    /// The quality aggregator, when this run shadow-scores.
-    pub fn quality(&self) -> Option<&Arc<QualityAggregator>> {
-        self.quality_agg.as_ref()
-    }
-
-    /// The configuration this harness runs.
-    pub fn config(&self) -> &LoadConfig {
-        &self.config
-    }
-
-    /// Run the load to completion and build the final report.
-    pub fn run(&self, searcher: &Searcher, queries: &[String]) -> LoadReport {
-        self.run_with_tick(searcher, queries, 0, |_| {})
-    }
-
-    /// [`run`](Self::run), invoking `tick` every `tick_ms` milliseconds
-    /// from the calling thread while workers are busy (live dashboard
-    /// hook; `tick_ms = 0` disables ticking). The callback sees the
-    /// harness, so it can snapshot windows and SLOs mid-run.
-    pub fn run_with_tick(
-        &self,
-        searcher: &Searcher,
-        queries: &[String],
-        tick_ms: u64,
-        mut tick: impl FnMut(&Self),
-    ) -> LoadReport {
-        assert!(!queries.is_empty(), "load run needs at least one query");
-        let cfg = &self.config;
-        assert_eq!(
-            cfg.mode,
-            LoopMode::Closed,
-            "in-process runs are closed loops; open loops pace arrivals over the wire"
-        );
-        let threads = cfg.threads.max(1);
-        // Per-stage span durations stream into the same recorder.
-        obs::enable();
-        obs::attach_rolling(self.rolling.clone());
-        self.queries_issued.store(0, Ordering::Relaxed);
-        self.errors_seen.store(0, Ordering::Relaxed);
-        let total_errors = &self.errors_seen;
-        let total_queries = &self.queries_issued;
-        let live_workers = AtomicU64::new(threads as u64);
-
-        // The shadow scorer lives outside the worker scope: workers
-        // only submit; the background evaluation drains after they
-        // finish, so the final report sees every accepted sample.
-        let shadow = match (&cfg.quality, &self.quality_agg) {
-            (Some(qc), Some(agg)) => Some(QualityShadow::spawn(
-                searcher.clone(),
-                ShadowConfig {
-                    sample_every: qc.sample_every.max(1),
-                    kind: cfg.kind,
-                    limit: cfg.limit,
-                    top_pct: qc.top_pct,
-                    queue_capacity: qc.queue_capacity,
-                },
-                Arc::clone(agg),
-            )),
-            _ => None,
+    };
+    let head_end = loop {
+        if let Some(pos) = scratch.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
+        }
+        if scratch.len() > 64 * 1024 {
+            return Err("response head too large".to_string());
+        }
+        fill(scratch, "connection closed mid-response")?;
+    };
+    let head = std::str::from_utf8(&scratch[..head_end])
+        .map_err(|_| "response head not UTF-8".to_string())?;
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or_default();
+    let status: u16 = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
+    let mut content_length = 0usize;
+    let mut close = false;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
         };
-        let shadow_ref = shadow.as_ref();
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let searcher = searcher.clone();
-                let rolling = self.rolling.clone();
-                let slowlog = self.slowlog.clone();
-                let clock = self.clock.clone();
-                let live_workers = &live_workers;
-                scope.spawn(move || {
-                    for i in 0..cfg.queries_per_thread {
-                        let q_idx = (w * cfg.queries_per_thread + i) % queries.len();
-                        let query = &queries[q_idx];
-                        let seq = (w * cfg.queries_per_thread + i) as u64 + 1;
-                        let injected_error =
-                            cfg.error_every > 0 && seq.is_multiple_of(cfg.error_every);
-                        total_queries.fetch_add(1, Ordering::Relaxed);
-
-                        // Execute (errors are injected by skipping the
-                        // execution — the "server" was unavailable).
-                        let (stats, latency_ns) = if injected_error {
-                            (Default::default(), 100_000)
-                        } else {
-                            // Span-free execution path: the worker
-                            // records the end-to-end `serve.query`
-                            // observation itself, so the attached
-                            // registry feed (which carries the
-                            // per-stage spans) never double-counts the
-                            // serve series.
-                            let t0 = clock.now_ns();
-                            let executed =
-                                searcher.prestige(cfg.kind, cfg.function).map(|prestige| {
-                                    searcher.search_with_stats(
-                                        query,
-                                        searcher.sets(cfg.kind),
-                                        prestige,
-                                        cfg.limit,
-                                    )
-                                });
-                            let elapsed = clock.now_ns().saturating_sub(t0);
-                            match executed {
-                                Some((_, stats)) => (stats, elapsed),
-                                None => {
-                                    total_errors.fetch_add(1, Ordering::Relaxed);
-                                    rolling.record_at(
-                                        w,
-                                        "serve.query",
-                                        clock.now_ns(),
-                                        elapsed,
-                                        true,
-                                    );
-                                    continue;
-                                }
-                            }
-                        };
-
-                        let completion_ns = clock.now_ns();
-                        let error = injected_error;
-                        if error {
-                            total_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        rolling.record_at(w, "serve.query", completion_ns, latency_ns, error);
-                        if !error {
-                            if let Some(shadow) = shadow_ref {
-                                // Deterministic sampling key: the same
-                                // (worker, iteration) pair samples the
-                                // same queries on every run.
-                                shadow.observe_seq(seq, query, w, completion_ns);
-                            }
-                        }
-
-                        if !error && slowlog.is_slow(latency_ns) {
-                            let trace = if cfg.capture_traces {
-                                capture_explain_trace(
-                                    &searcher,
-                                    query,
-                                    cfg.kind,
-                                    cfg.function,
-                                    cfg.limit,
-                                )
-                            } else {
-                                None
-                            };
-                            slowlog.push(SlowQuery {
-                                query: query.clone(),
-                                duration_ns: latency_ns,
-                                ts_ns: completion_ns,
-                                stats: vec![
-                                    ("selected_contexts".to_string(), stats.selected_contexts),
-                                    ("keyword_candidates".to_string(), stats.keyword_candidates),
-                                    ("scored_pairs".to_string(), stats.scored_pairs),
-                                    ("results".to_string(), stats.results),
-                                    ("heap_pushes".to_string(), stats.heap_pushes),
-                                ],
-                                trace,
-                            });
-                        }
-                    }
-                    live_workers.fetch_sub(1, Ordering::Relaxed);
-                });
-            }
-            if tick_ms > 0 {
-                while live_workers.load(Ordering::Relaxed) > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(tick_ms));
-                    tick(self);
-                }
-            }
-        });
-        // Drain and join the shadow worker: every accepted sample is
-        // aggregated before the report reads the summary.
-        if let Some(shadow) = &shadow {
-            shadow.finish();
-        }
-        obs::global().detach_rolling();
-
-        self.report_at(
-            self.clock.now_ns(),
-            total_queries.load(Ordering::Relaxed),
-            total_errors.load(Ordering::Relaxed),
-        )
-    }
-
-    /// A mid-run report at the clock's current reading — what a live
-    /// dashboard tick renders.
-    pub fn report_now(&self) -> LoadReport {
-        self.report_at(
-            self.clock.now_ns(),
-            self.queries_issued.load(Ordering::Relaxed),
-            self.errors_seen.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Build a report from the current recorder contents, read at
-    /// `at_ns` on the harness timeline.
-    pub fn report_at(&self, at_ns: u64, total_queries: u64, total_errors: u64) -> LoadReport {
-        let windows = self.rolling.snapshot_at(self.config.window_secs, at_ns);
-        let slo = self.slo.evaluate_at(&self.rolling, at_ns);
-        let trace_dropped = obs::snapshot()
-            .counter("obs.trace.dropped_events")
-            .unwrap_or(0);
-        let quality = self.quality_agg.as_ref().map(|agg| QualityReport {
-            summary: agg.summary_at(at_ns),
-            drift: None,
-        });
-        LoadReport {
-            threads: self.config.threads,
-            mode: self.config.mode.name(),
-            total_queries,
-            errors: total_errors,
-            wall_ns: at_ns,
-            window_secs: self.config.window_secs,
-            windows,
-            slo,
-            slow: self.slowlog.leaderboard(),
-            trace_dropped,
-            quality,
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value
+                .parse()
+                .map_err(|_| format!("bad content-length {value:?}"))?;
+        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
+            close = true;
         }
     }
+    let total = head_end + 4 + content_length;
+    while scratch.len() < total {
+        fill(scratch, "connection closed mid-body")?;
+    }
+    scratch.drain(..total);
+    Ok((status, close))
 }
 
 /// Everything one load run (or one live tick) observed.
 pub struct LoadReport {
-    /// Worker threads that drove the load.
+    /// Client threads that drove the load.
     pub threads: usize,
     /// `"closed"` or `"open"`.
     pub mode: &'static str,
-    /// Queries issued (including injected errors).
+    /// The server driven, `http://HOST:PORT`.
+    pub target: String,
+    /// Requests sent.
     pub total_queries: u64,
-    /// Errors observed (injected + real).
+    /// Error answers (status ≥ 400 other than 429 and 503) plus
+    /// transport failures.
     pub errors: u64,
-    /// Run length on the harness timeline, nanoseconds.
+    /// `429` deadline sheds (not errors).
+    pub shed: u64,
+    /// `503` queue-full rejections (not errors).
+    pub rejected: u64,
+    /// Connect, read and write failures (counted as errors).
+    pub transport_errors: u64,
+    /// Run length, nanoseconds.
     pub wall_ns: u64,
     /// Window the stats were read over, seconds.
     pub window_secs: u64,
     /// Windowed per-series stats, sorted by series name.
     pub windows: Vec<WindowStats>,
-    /// The SLO evaluation at end of run.
+    /// The SLO evaluation at report time.
     pub slo: SloReport,
     /// Slow-query leaderboard, slowest first.
     pub slow: Vec<SlowQuery>,
-    /// Global trace-sink overflow count at report time.
-    pub trace_dropped: u64,
-    /// Ranking-quality report, when the run shadow-scored.
+    /// The server's ranking-quality report, when it shadow-scored.
     pub quality: Option<QualityReport>,
 }
 
@@ -542,32 +489,21 @@ impl LoadReport {
         self.slo.has_hard_violation()
     }
 
-    /// JSON object form: windowed stats, SLO burn rates, and the
-    /// slow-query leaderboard (minus trace internals).
+    /// JSON object form: tallies, windowed stats, SLO burn rates, the
+    /// slow-query leaderboard and, when present, the quality report.
     pub fn to_value(&self) -> Value {
-        let slow: Vec<Value> = self
-            .slow
-            .iter()
-            .map(|s| {
-                let stats: Vec<(String, Value)> = s
-                    .stats
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                    .collect();
-                Value::Map(vec![
-                    ("query".to_string(), Value::Str(s.query.clone())),
-                    ("duration_ns".to_string(), Value::UInt(s.duration_ns)),
-                    ("ts_ns".to_string(), Value::UInt(s.ts_ns)),
-                    ("stats".to_string(), Value::Map(stats)),
-                    ("trace_captured".to_string(), Value::Bool(s.trace.is_some())),
-                ])
-            })
-            .collect();
-        let mut value = Value::Map(vec![
+        let mut fields = vec![
             ("threads".to_string(), Value::UInt(self.threads as u64)),
             ("mode".to_string(), Value::Str(self.mode.to_string())),
+            ("target".to_string(), Value::Str(self.target.clone())),
             ("total_queries".to_string(), Value::UInt(self.total_queries)),
             ("errors".to_string(), Value::UInt(self.errors)),
+            ("shed".to_string(), Value::UInt(self.shed)),
+            ("rejected".to_string(), Value::UInt(self.rejected)),
+            (
+                "transport_errors".to_string(),
+                Value::UInt(self.transport_errors),
+            ),
             ("wall_ns".to_string(), Value::UInt(self.wall_ns)),
             ("window_secs".to_string(), Value::UInt(self.window_secs)),
             (
@@ -575,13 +511,15 @@ impl LoadReport {
                 Value::Seq(self.windows.iter().map(WindowStats::to_value).collect()),
             ),
             ("slo".to_string(), self.slo.to_value()),
-            ("slow_queries".to_string(), Value::Seq(slow)),
-            ("trace_dropped".to_string(), Value::UInt(self.trace_dropped)),
-        ]);
-        if let (Value::Map(fields), Some(quality)) = (&mut value, &self.quality) {
+            (
+                "slow_queries".to_string(),
+                Value::Seq(self.slow.iter().map(SlowQuery::to_value).collect()),
+            ),
+        ];
+        if let Some(quality) = &self.quality {
             fields.push(("quality".to_string(), quality.to_value()));
         }
-        value
+        Value::Map(fields)
     }
 
     /// Pretty JSON document.
@@ -589,22 +527,32 @@ impl LoadReport {
         serde_json::to_string_pretty(&self.to_value()).expect("report serializes")
     }
 
-    /// The terminal dashboard: windowed per-stage stats, SLO burn, and
-    /// the slow-query leaderboard — `litsearch top` renders exactly
-    /// this.
+    /// The terminal dashboard: tallies, windowed per-series stats, SLO
+    /// burn, the slow-query leaderboard and the quality panel —
+    /// `litsearch top` renders exactly this.
     pub fn render_dashboard(&self) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
+        let status = |s: obs::SloStatus| match s {
+            obs::SloStatus::Ok => "ok",
+            obs::SloStatus::Warn => "WARN",
+            obs::SloStatus::Critical => "CRITICAL",
+        };
         let mut out = format!(
-            "serving dashboard — {} loop, {} workers, window {}s, t={:.1}s\n",
+            "serving dashboard — {} loop, {} clients → {}, window {}s, t={:.1}s\n",
             self.mode,
             self.threads,
+            self.target,
             self.window_secs,
             self.wall_ns as f64 / 1e9,
         );
         out.push_str(&format!(
-            "queries {}  errors {}  throughput {:.1} q/s overall\n\n",
+            "requests {}  errors {}  shed(429) {}  rejected(503) {}  transport errors {}  \
+             throughput {:.1} q/s\n\n",
             self.total_queries,
             self.errors,
+            self.shed,
+            self.rejected,
+            self.transport_errors,
             if self.wall_ns == 0 {
                 0.0
             } else {
@@ -640,33 +588,21 @@ impl LoadReport {
                 e.spec.target,
                 burn(0),
                 burn(1),
-                match e.status {
-                    obs::SloStatus::Ok => "ok",
-                    obs::SloStatus::Warn => "WARN",
-                    obs::SloStatus::Critical => "CRITICAL",
-                },
+                status(e.status),
             ));
         }
-        out.push_str("\nslow queries (threshold-crossing, slowest first):\n");
+        out.push_str("\nslow queries (client-observed, slowest first):\n");
         if self.slow.is_empty() {
             out.push_str("  none\n");
-        } else {
-            for s in &self.slow {
-                let stat = |key: &str| {
-                    s.stats
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map_or(0, |(_, v)| *v)
-                };
-                out.push_str(&format!(
-                    "  {:>9.3} ms  {:<32} scored_pairs={:<7} heap_pushes={:<7} trace={}\n",
-                    ms(s.duration_ns),
-                    s.query,
-                    stat("scored_pairs"),
-                    stat("heap_pushes"),
-                    if s.trace.is_some() { "yes" } else { "no" },
-                ));
-            }
+        }
+        for s in &self.slow {
+            let stats: Vec<String> = s.stats.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            out.push_str(&format!(
+                "  {:>9.3} ms  {:<32} {}\n",
+                ms(s.duration_ns),
+                s.query,
+                stats.join(" "),
+            ));
         }
         if let Some(quality) = &self.quality {
             let s = &quality.summary;
@@ -697,30 +633,6 @@ impl LoadReport {
                     f.series, f.count, f.p50, f.p90, f.separability_sd
                 ));
             }
-            if let Some(drift) = &quality.drift {
-                let verdict = match drift.status {
-                    obs::SloStatus::Ok => "ok",
-                    obs::SloStatus::Warn => "WARN",
-                    obs::SloStatus::Critical => "CRITICAL",
-                };
-                out.push_str(&format!("quality drift vs baseline: {verdict}\n"));
-                for c in drift
-                    .checks
-                    .iter()
-                    .filter(|c| c.status != obs::SloStatus::Ok)
-                {
-                    out.push_str(&format!(
-                        "  {} {} observed {:.4} (bound {})\n",
-                        c.name, c.subject, c.observed, c.bound
-                    ));
-                }
-            }
-        }
-        if self.trace_dropped > 0 {
-            out.push_str(&format!(
-                "\nwarning: trace sink dropped {} events (obs.trace.dropped_events)\n",
-                self.trace_dropped
-            ));
         }
         out
     }
@@ -732,8 +644,8 @@ mod tests {
     use crate::setup::{ExpConfig, Setup};
     use std::sync::OnceLock;
 
-    /// One tiny shared testbed for every load test (building a
-    /// snapshot is the expensive part).
+    /// One tiny shared testbed for every test (building a snapshot is
+    /// the expensive part).
     fn testbed() -> &'static (Setup, Vec<String>) {
         static TESTBED: OnceLock<(Setup, Vec<String>)> = OnceLock::new();
         TESTBED.get_or_init(|| {
@@ -750,97 +662,14 @@ mod tests {
         })
     }
 
-    fn small_config(threads: usize) -> LoadConfig {
-        LoadConfig {
-            threads,
-            queries_per_thread: 30,
-            slow_capacity: 4,
-            error_every: 10,
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn slow_queries_carry_captured_explain_traces() {
-        let (setup, queries) = testbed();
-        let harness = LoadHarness::new(LoadConfig {
-            threads: 2,
-            queries_per_thread: 10,
-            slow_threshold_ns: 1, // everything is slow
-            slow_capacity: 4,
-            ..Default::default()
-        });
-        let report = harness.run(&setup.searcher, queries);
-        assert!(!report.slow.is_empty());
-        // Wall-clock order decides which queries make the leaderboard; a
-        // query with no results has no score decomposition to explain.
-        let results = |s: &SlowQuery| {
-            s.stats
-                .iter()
-                .find(|(k, _)| k == "results")
-                .map_or(0, |&(_, v)| v)
-        };
-        assert!(report.slow.iter().any(|s| results(s) > 0));
-        for s in &report.slow {
-            let trace = s.trace.as_ref().expect("slow query carries a trace");
-            assert!(
-                trace.events.iter().any(|e| e.name == "engine.search"),
-                "trace has the search span"
-            );
-            assert!(
-                results(s) == 0 || trace.events.iter().any(|e| e.name == "explain.hit"),
-                "trace has explain instants"
-            );
-        }
-    }
-
-    #[test]
-    fn injected_errors_burn_the_availability_slo() {
-        let (setup, queries) = testbed();
-        let harness = LoadHarness::new(LoadConfig {
-            error_every: 2, // 50% unavailability
-            capture_traces: false,
-            ..small_config(2)
-        });
-        let report = harness.run(&setup.searcher, queries);
-        assert_eq!(report.errors, 30, "every second query is an injected error");
-        assert!(
-            report.has_hard_violation(),
-            "50% error rate against 99.9% availability must be critical"
+    fn host_port_accepts_http_prefix() {
+        assert_eq!(
+            host_port("http://127.0.0.1:8080").unwrap(),
+            "127.0.0.1:8080"
         );
-        let avail = report
-            .slo
-            .evals
-            .iter()
-            .find(|e| e.spec.name == "serve-availability")
-            .expect("availability objective");
-        assert_eq!(avail.status, obs::SloStatus::Critical);
-        // The dashboard renders the violation.
-        assert!(report.render_dashboard().contains("CRITICAL"));
-    }
-
-    #[test]
-    fn dashboard_renders_all_sections() {
-        let (setup, queries) = testbed();
-        let report = LoadHarness::new(small_config(2)).run(&setup.searcher, queries);
-        let dash = report.render_dashboard();
-        assert!(dash.contains("serving dashboard"));
-        assert!(dash.contains("serve.query"));
-        assert!(dash.contains("SLO burn:"));
-        assert!(dash.contains("slow queries"));
-    }
-
-    #[test]
-    #[should_panic(expected = "closed loops")]
-    fn in_process_open_loop_is_refused() {
-        let (setup, queries) = testbed();
-        LoadHarness::new(LoadConfig {
-            mode: LoopMode::Open {
-                qps_per_worker: 100.0,
-            },
-            ..small_config(1)
-        })
-        .run(&setup.searcher, queries);
+        assert_eq!(host_port("127.0.0.1:9/").unwrap(), "127.0.0.1:9");
+        assert!(host_port("http://nohostport").is_err());
     }
 
     fn gate_config() -> ShadowConfig {

@@ -131,8 +131,8 @@ impl QueryParts<'_> {
     }
 
     /// [`search`](Self::search) plus the execution's [`QueryStats`] —
-    /// the serve path and load harness read the work counters without
-    /// needing tracing armed.
+    /// the serve path reads the work counters without needing tracing
+    /// armed.
     pub fn search_with_stats(
         &self,
         query: &str,

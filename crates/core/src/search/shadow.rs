@@ -148,8 +148,8 @@ impl QualityShadow {
 
     /// Observe a served query under a caller-supplied sequence number:
     /// the sampling decision is `seq % sample_every == 0`, so a
-    /// deterministic sequence (e.g. the load harness's per-worker
-    /// iteration index) yields the same sampled set on every run.
+    /// deterministic sequence (e.g. the server's count of served
+    /// requests) yields the same sampled set on every run.
     /// `shard`/`ts_ns` place the resulting events in the rolling
     /// windows.
     pub fn observe_seq(&self, seq: u64, query: &str, shard: usize, ts_ns: u64) {

@@ -29,10 +29,9 @@
 //! durations into windowed p50/p95/p99/QPS/error-rate ("right now",
 //! not "whole run") once a [`RollingRecorder`] is attached with
 //! [`attach_rolling`]; [`slo`] evaluates burn rates against declared
-//! objectives; [`slowlog`] keeps the slowest queries with their
-//! captured explain traces. All of it reads time through the
-//! injectable [`Clock`] in [`clock`], so windowed output is
-//! deterministic under a [`ManualClock`].
+//! objectives; [`slowlog`] keeps the slowest requests. All of it reads
+//! time through the injectable [`Clock`] in [`clock`], so windowed
+//! output is deterministic under a [`ManualClock`].
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -59,8 +58,7 @@ pub use quality::{
 };
 pub use rolling::{RollingConfig, RollingRecorder, WindowStats, SECOND_NS};
 pub use slo::{
-    default_burn_windows, BurnWindow, SloEval, SloKind, SloReport, SloSpec, SloStatus, SloTracker,
-    WindowBurn,
+    default_burn_windows, BurnWindow, SloEval, SloKind, SloReport, SloSpec, SloStatus, WindowBurn,
 };
 pub use slowlog::{SlowQuery, SlowQueryLog};
 pub use snapshot::{
@@ -88,11 +86,11 @@ struct SpanStats {
 /// [`reset`](Self::reset) drops every recorded datum — counters,
 /// gauges, histograms, span stats — **and** clears the live-serving
 /// attachments' state: an attached [`RollingRecorder`]'s windows are
-/// emptied, an attached [`SloTracker`]'s latched worst status returns
-/// to `Ok`, an attached [`SlowQueryLog`] is cleared, and an attached
+/// emptied, an attached [`SlowQueryLog`] is cleared, and an attached
 /// [`QualityAggregator`]'s run accumulators and sketches are dropped.
 /// The attachments themselves stay attached and the enabled flag is
-/// unchanged, so a reset registry keeps feeding the same windows. A reset registry therefore reports empty windows until new
+/// unchanged, so a reset registry keeps feeding the same windows. A
+/// reset registry therefore reports empty windows until new
 /// observations arrive.
 #[derive(Default)]
 pub struct Registry {
@@ -105,7 +103,6 @@ pub struct Registry {
     /// one relaxed load before touching the attachment mutex.
     rolling_on: AtomicBool,
     rolling: Mutex<Option<Arc<RollingRecorder>>>,
-    slo: Mutex<Option<Arc<SloTracker>>>,
     slowlog: Mutex<Option<Arc<SlowQueryLog>>>,
     quality: Mutex<Option<Arc<QualityAggregator>>>,
 }
@@ -121,7 +118,6 @@ impl Registry {
             spans: Mutex::new(BTreeMap::new()),
             rolling_on: AtomicBool::new(false),
             rolling: Mutex::new(None),
-            slo: Mutex::new(None),
             slowlog: Mutex::new(None),
             quality: Mutex::new(None),
         }
@@ -144,7 +140,7 @@ impl Registry {
     }
 
     /// Drop all recorded data and clear the state of every live-serving
-    /// attachment (rolling windows, SLO latch, slow-query log). The
+    /// attachment (rolling windows, slow-query log, quality). The
     /// attachments stay attached; the enabled flag is unchanged. See
     /// the type-level reset contract.
     pub fn reset(&self) {
@@ -154,9 +150,6 @@ impl Registry {
         self.spans.lock().clear();
         if let Some(rolling) = self.rolling.lock().as_ref() {
             rolling.reset();
-        }
-        if let Some(slo) = self.slo.lock().as_ref() {
-            slo.reset();
         }
         if let Some(slowlog) = self.slowlog.lock().as_ref() {
             slowlog.clear();
@@ -185,17 +178,6 @@ impl Registry {
             return None;
         }
         self.rolling.lock().clone()
-    }
-
-    /// Attach an SLO tracker so [`reset`](Self::reset) covers its latch
-    /// and dashboards can find it.
-    pub fn attach_slo(&self, tracker: Arc<SloTracker>) {
-        *self.slo.lock() = Some(tracker);
-    }
-
-    /// The attached SLO tracker, if any.
-    pub fn slo_tracker(&self) -> Option<Arc<SloTracker>> {
-        self.slo.lock().clone()
     }
 
     /// Attach a slow-query log so [`reset`](Self::reset) covers it and
@@ -396,16 +378,6 @@ pub fn attach_rolling(recorder: Arc<RollingRecorder>) {
 /// The global registry's rolling recorder, if attached.
 pub fn rolling() -> Option<Arc<RollingRecorder>> {
     GLOBAL.rolling()
-}
-
-/// Attach an SLO tracker to the global registry.
-pub fn attach_slo(tracker: Arc<SloTracker>) {
-    GLOBAL.attach_slo(tracker);
-}
-
-/// The global registry's SLO tracker, if attached.
-pub fn slo_tracker() -> Option<Arc<SloTracker>> {
-    GLOBAL.slo_tracker()
 }
 
 /// Attach a slow-query log to the global registry.

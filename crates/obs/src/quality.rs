@@ -15,8 +15,8 @@
 //!   [`RATIO_SCALE`],
 //! * **run-level accumulators** — integer bin counts and scaled-integer
 //!   sums only, so the summary is independent of event arrival order
-//!   (worker interleaving) and byte-stable under the deterministic
-//!   load harness,
+//!   (worker interleaving) and byte-stable for a fixed sample stream
+//!   (`litsearch quality`),
 //! * **score sketches** per prestige function ([`ScoreSketch`]) —
 //!   streaming bin histograms over the normalized score range [0, 1]
 //!   reusing [`eval::StreamingSeparability`], from which the summary
@@ -138,8 +138,7 @@ fn unscale(sum_scaled: u64, count: u64) -> f64 {
 pub struct QualityEvent {
     /// Rolling-recorder shard the originating worker owns.
     pub shard: usize,
-    /// Completion timestamp of the originating query (virtual under
-    /// the sim harness), nanoseconds.
+    /// Completion timestamp of the originating query, nanoseconds.
     pub ts_ns: u64,
     /// Pairwise top-k% overlap between function rankings.
     pub overlaps: Vec<(&'static str, &'static str, f64)>,

@@ -16,15 +16,8 @@
 //! time): under an injected [`ManualClock`](crate::ManualClock) the
 //! whole [`SloReport`], JSON and markdown included, is bit-identical
 //! across runs.
-//!
-//! The [`SloTracker`] adds the one piece of genuine state: the worst
-//! status ever observed, latched across evaluations so a violation
-//! that happened mid-run is still visible in an end-of-run report.
-//! [`Registry::reset`](crate::Registry::reset) clears the latch along
-//! with the windows.
 
 use crate::rolling::RollingRecorder;
-use parking_lot::Mutex;
 use serde::Value;
 
 /// What an objective constrains.
@@ -103,7 +96,7 @@ pub fn default_burn_windows() -> Vec<BurnWindow> {
     ]
 }
 
-/// Joint status of one objective (worst-of-run for the latch).
+/// Joint status of one objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SloStatus {
     /// Budget burn is sustainable in at least one window.
@@ -298,11 +291,6 @@ impl SloReport {
         ])
     }
 
-    /// Pretty JSON document.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("slo report serializes")
-    }
-
     /// Markdown table, one row per (objective, window).
     pub fn to_markdown(&self) -> String {
         let mut out = String::from("# SLO report\n\n");
@@ -327,54 +315,6 @@ impl SloReport {
             }
         }
         out
-    }
-}
-
-/// Specs + burn windows + the latched worst status. The one mutable
-/// piece of SLO state; everything else is recomputed per evaluation.
-pub struct SloTracker {
-    specs: Vec<SloSpec>,
-    burn_windows: Vec<BurnWindow>,
-    latched: Mutex<SloStatus>,
-}
-
-impl SloTracker {
-    /// A tracker over `specs` with the given evaluation windows.
-    pub fn new(specs: Vec<SloSpec>, burn_windows: Vec<BurnWindow>) -> Self {
-        Self {
-            specs,
-            burn_windows,
-            latched: Mutex::new(SloStatus::Ok),
-        }
-    }
-
-    /// The tracked specs.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
-    /// Evaluate at `at_ns` and fold the result into the latch.
-    pub fn evaluate_at(&self, recorder: &RollingRecorder, at_ns: u64) -> SloReport {
-        let report = evaluate_at(recorder, &self.specs, &self.burn_windows, at_ns);
-        let mut latched = self.latched.lock();
-        *latched = (*latched).max(report.worst());
-        report
-    }
-
-    /// Evaluate at the recorder clock's current time.
-    pub fn evaluate(&self, recorder: &RollingRecorder) -> SloReport {
-        self.evaluate_at(recorder, recorder.clock().now_ns())
-    }
-
-    /// The worst status any evaluation has seen since the last reset.
-    pub fn latched(&self) -> SloStatus {
-        *self.latched.lock()
-    }
-
-    /// Clear the latch back to [`SloStatus::Ok`]. Part of the
-    /// [`Registry::reset`](crate::Registry::reset) contract.
-    pub fn reset(&self) {
-        *self.latched.lock() = SloStatus::Ok;
     }
 }
 
@@ -473,22 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_windows_are_ok_and_tracker_latches_worst() {
+    fn empty_windows_are_ok() {
         let rec = recorder();
-        let tracker = SloTracker::new(vec![SloSpec::availability("avail", "q", 0.999)], windows());
-        assert_eq!(tracker.evaluate_at(&rec, 0).worst(), SloStatus::Ok);
-        for i in 0..600u64 {
-            rec.record_at(0, "q", i * SECOND_NS / 10, 1000, true);
-        }
+        let specs = vec![SloSpec::availability("avail", "q", 0.999)];
         assert_eq!(
-            tracker.evaluate_at(&rec, 60 * SECOND_NS).worst(),
-            SloStatus::Critical
+            evaluate_at(&rec, &specs, &windows(), 0).worst(),
+            SloStatus::Ok
         );
-        // Healthy again — the latch remembers the violation.
-        rec.reset();
-        assert_eq!(tracker.evaluate_at(&rec, 0).worst(), SloStatus::Ok);
-        assert_eq!(tracker.latched(), SloStatus::Critical);
-        tracker.reset();
-        assert_eq!(tracker.latched(), SloStatus::Ok);
     }
 }

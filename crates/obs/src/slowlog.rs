@@ -1,11 +1,9 @@
-//! Bounded slow-query log: the worst offenders, each with its explain
-//! trace.
+//! Bounded slow-query log: the worst offenders.
 //!
 //! Windowed percentiles ([`crate::rolling`]) say *that* the tail is
-//! slow; the slow-query log says *which queries* and — because each
-//! entry can carry a full captured [`TraceData`] — *why*: the per-stage
-//! spans and `explain.*` score-decomposition instants of the offending
-//! execution ride along.
+//! slow; the slow-query log says *which queries*. A query is a pure
+//! function of the snapshot, so running it again under
+//! `litsearch search --trace` gives its explain trace.
 //!
 //! The log is a bounded leaderboard, not a stream: it keeps the
 //! `capacity` slowest entries seen so far, evicting by a **total**
@@ -14,12 +12,11 @@
 //! across runs and thread interleavings. Everything else (count of
 //! evictions, JSONL dump order) follows from that order.
 
-use crate::trace::TraceData;
 use parking_lot::Mutex;
 use serde::Value;
 use std::cmp::Ordering;
 
-/// One slow query: what ran, how long it took, and why.
+/// One slow query: what ran and how long it took.
 #[derive(Debug, Clone)]
 pub struct SlowQuery {
     /// The query text.
@@ -28,11 +25,9 @@ pub struct SlowQuery {
     pub duration_ns: u64,
     /// Clock reading when the query completed, nanoseconds.
     pub ts_ns: u64,
-    /// Work counters for the execution (`scored_pairs`, ...), in a
+    /// Counters for the execution (`status`, `exec_ns`, ...), in a
     /// fixed caller-chosen order.
     pub stats: Vec<(String, u64)>,
-    /// Captured explain trace of a re-execution, when capture was on.
-    pub trace: Option<TraceData>,
 }
 
 impl SlowQuery {
@@ -46,33 +41,19 @@ impl SlowQuery {
             .then_with(|| self.query.cmp(&other.query))
     }
 
-    /// JSON object form (trace embedded as an event array when
-    /// present).
+    /// JSON object form.
     pub fn to_value(&self) -> Value {
         let stats: Vec<(String, Value)> = self
             .stats
             .iter()
             .map(|(k, v)| (k.clone(), Value::UInt(*v)))
             .collect();
-        let mut map = vec![
+        Value::Map(vec![
             ("query".to_string(), Value::Str(self.query.clone())),
             ("duration_ns".to_string(), Value::UInt(self.duration_ns)),
             ("ts_ns".to_string(), Value::UInt(self.ts_ns)),
             ("stats".to_string(), Value::Map(stats)),
-        ];
-        match &self.trace {
-            Some(trace) => {
-                map.push((
-                    "trace_id".to_string(),
-                    Value::Str(trace.trace_id.to_string()),
-                ));
-                map.push(("trace".to_string(), Value::Seq(trace.event_values())));
-            }
-            None => {
-                map.push(("trace".to_string(), Value::Seq(Vec::new())));
-            }
-        }
-        Value::Map(map)
+        ])
     }
 }
 
@@ -185,8 +166,7 @@ impl SlowQueryLog {
         )
     }
 
-    /// One compact JSON object per slow query per line, slowest first —
-    /// each line embeds the entry's captured trace events.
+    /// One compact JSON object per slow query per line, slowest first.
     pub fn dump_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.state.lock().entries.iter() {
@@ -207,7 +187,6 @@ mod tests {
             duration_ns,
             ts_ns,
             stats: vec![("scored_pairs".to_string(), 7)],
-            trace: None,
         }
     }
 

@@ -313,10 +313,7 @@ impl Default for Tracer {
 
 /// Small dense per-thread number, assigned on first use — the Chrome
 /// `tid` field (real thread ids are opaque and unstable across
-/// platforms). Public so trace consumers can filter a multi-thread
-/// capture down to the calling thread's events
-/// ([`TraceData::filter_tid`]) and so the rolling recorder can shard
-/// by thread.
+/// platforms). The rolling recorder shards by it too.
 pub fn current_tid() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
@@ -475,26 +472,6 @@ impl TraceData {
     /// Aggregate the trace into a self-time tree (see [`TraceSummary`]).
     pub fn summary(&self) -> TraceSummary {
         TraceSummary::build(self)
-    }
-
-    /// Keep only the events recorded on thread `tid` (see
-    /// [`current_tid`]). The slow-query capture path re-executes a
-    /// query with the global tracer armed and then cuts the capture
-    /// down to its own thread's events, so neighbours' spans never
-    /// leak into an explain trace.
-    pub fn filter_tid(mut self, tid: u64) -> TraceData {
-        self.events.retain(|e| e.tid == tid);
-        self
-    }
-
-    /// Every event as a JSON value (JSONL-line form, in order) — for
-    /// embedding a trace inside a larger document, e.g. a slow-query
-    /// log entry.
-    pub fn event_values(&self) -> Vec<Value> {
-        self.events
-            .iter()
-            .map(|e| event_to_value(e, self.trace_id, false))
-            .collect()
     }
 }
 

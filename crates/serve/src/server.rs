@@ -5,8 +5,8 @@
 //! lock-free [`Searcher`] (inside [`AppState`]) and pull connections
 //! off the queue. Per-request deadlines are stamped at *enqueue* time
 //! with the injectable [`obs::Clock`], so time spent waiting in line
-//! counts against the budget — the same accounting PR 5's open-loop
-//! harness uses to avoid the coordinated-omission trap. A request
+//! counts against the budget — the same accounting `litsearch top`'s
+//! open loop uses to avoid the coordinated-omission trap. A request
 //! whose remaining budget is below the EWMA-estimated service cost is
 //! answered `429 + Retry-After` immediately instead of executing past
 //! its deadline; a connection that does not fit in the queue is
@@ -577,7 +577,6 @@ fn handle_one(
                 duration_ns: total_ns,
                 ts_ns: clock.now_ns(),
                 stats: vec![("exec_ns".to_string(), exec_ns)],
-                trace: None,
             });
         }
     }

@@ -31,14 +31,101 @@ use litsearch::ontology::obo::{parse_obo, write_obo};
 use litsearch::ontology::Ontology;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
+
+/// One subcommand: what runs it and the flags it reads.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+    /// Flags that take a value, space-separated.
+    values: &'static str,
+    /// Flags that take none (present means on), space-separated.
+    switches: &'static str,
+}
+
+/// Flags every command accepts besides its own.
+const GLOBAL_FLAGS: &str = "metrics trace trace-jsonl";
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        run: cmd_generate,
+        values: "out terms papers seed",
+        switches: "",
+    },
+    Command {
+        name: "assign",
+        run: cmd_assign,
+        values: "data kind build-threads",
+        switches: "",
+    },
+    Command {
+        name: "prestige",
+        run: cmd_prestige,
+        values: "data kind function build-threads",
+        switches: "",
+    },
+    Command {
+        name: "prepare",
+        run: cmd_prepare,
+        values: "data out build-threads",
+        switches: "",
+    },
+    Command {
+        name: "search",
+        run: cmd_search,
+        values: "data snapshot kind function query limit repeat build-threads",
+        switches: "",
+    },
+    Command {
+        name: "stats",
+        run: cmd_stats,
+        values: "data",
+        switches: "",
+    },
+    Command {
+        name: "trace",
+        run: cmd_trace,
+        values: "file",
+        switches: "",
+    },
+    Command {
+        name: "top",
+        run: cmd_top,
+        values: "snapshot seed target threads queries qps kind function limit window \
+                 slow-threshold-ms slow-capacity quality refresh-ms",
+        switches: "once json fail-on-violation fail-on-shed",
+    },
+    Command {
+        name: "quality",
+        run: cmd_quality,
+        values: "snapshot seed queries sample-every limit baseline write-baseline report out",
+        switches: "fail-on-drift",
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        values: "snapshot seed addr port workers queue-depth deadline-ms kind function limit \
+                 window slow-threshold-ms slow-capacity quality port-file slow-jsonl",
+        switches: "no-shed",
+    },
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(&args[1..]) {
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("error: unknown command {name:?}\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let flags = match Flags::parse(command, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -60,24 +147,7 @@ fn main() -> ExitCode {
         let id = obs::trace_start();
         eprintln!("tracing enabled (trace id {id})");
     }
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "assign" => cmd_assign(&flags),
-        "prestige" => cmd_prestige(&flags),
-        "prepare" => cmd_prepare(&flags),
-        "search" => cmd_search(&flags),
-        "stats" => cmd_stats(&flags),
-        "trace" => cmd_trace(&flags),
-        "top" => cmd_top(&flags),
-        "quality" => cmd_quality(&flags),
-        "serve" => cmd_serve(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match (command.run)(&flags) {
         Ok(()) => {
             if let Some(path) = &metrics_path {
                 if let Err(e) = obs::write_json(path) {
@@ -143,116 +213,182 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The (searcher, query texts) workload shared by `top` and `quality`:
-/// a warm snapshot from disk, or a tiny in-process demo build.
-fn dashboard_workload(flags: &Flags, seed: u64) -> Result<(Searcher, Vec<String>), String> {
-    use litsearch::corpus::queries::{generate_queries, QueryConfig};
-
-    let (searcher, queries) = if let Some(dir) = flags.get("snapshot") {
+/// The serving searcher: a warm snapshot from disk, or a tiny
+/// in-process demo build when no `--snapshot` is given.
+fn serve_searcher(flags: &Flags, seed: u64) -> Result<Searcher, String> {
+    if let Some(dir) = flags.get("snapshot") {
         eprintln!("loading snapshot from {dir}…");
         let snapshot =
             load_snapshot(Path::new(dir), EngineConfig::default()).map_err(|e| e.to_string())?;
-        let queries = generate_queries(
-            snapshot.ontology(),
-            snapshot.corpus(),
-            &QueryConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        (
-            snapshot.searcher(),
-            queries.into_iter().map(|q| q.text).collect::<Vec<_>>(),
-        )
+        Ok(snapshot.searcher())
     } else {
         eprintln!("no --snapshot: preparing a tiny in-process demo snapshot…");
         let snapshot = litsearch::demo::snapshot(litsearch::demo::Scale::Tiny, seed);
-        let queries = generate_queries(
-            snapshot.ontology(),
-            snapshot.corpus(),
-            &QueryConfig {
-                n_queries: 40,
-                seed,
-                ..Default::default()
-            },
-        );
-        (
-            snapshot.searcher(),
-            queries.into_iter().map(|q| q.text).collect::<Vec<_>>(),
-        )
+        Ok(snapshot.searcher())
+    }
+}
+
+/// The (searcher, query texts) workload shared by `top` and `quality`:
+/// [`serve_searcher`]'s snapshot and queries generated from it (40 for
+/// the demo build).
+fn dashboard_workload(flags: &Flags, seed: u64) -> Result<(Searcher, Vec<String>), String> {
+    use litsearch::corpus::queries::{generate_queries, QueryConfig};
+
+    let searcher = serve_searcher(flags, seed)?;
+    let mut config = QueryConfig {
+        seed,
+        ..Default::default()
     };
+    if flags.get("snapshot").is_none() {
+        config.n_queries = 40;
+    }
+    let queries: Vec<String> = generate_queries(searcher.ontology(), searcher.corpus(), &config)
+        .into_iter()
+        .map(|q| q.text)
+        .collect();
     if queries.is_empty() {
         return Err("workload produced no queries".to_string());
     }
     Ok((searcher, queries))
 }
 
-/// `litsearch top`: drive load at a snapshot (or an in-process demo
-/// build) and render the live serving dashboard — windowed per-stage
-/// latencies, SLO burn rates, and the slow-query leaderboard.
-/// `--once --json` prints a single machine-readable report for CI.
-/// `--quality N` shadow-scores 1/N queries under all three prestige
-/// functions and adds the ranking-quality panel.
-fn cmd_top(flags: &Flags) -> Result<(), String> {
-    use bench::load::{default_serve_slos, LoadConfig, LoadHarness, LoopMode, QualityLoadConfig};
-
-    let seed = flags.get_usize("seed", 2007)? as u64;
-
-    // Validate every flag before touching the snapshot: loading a large
-    // snapshot costs real time, and a typo'd --kind should fail now,
-    // not after the load.
-    let kind = match flags.get("kind").unwrap_or("pattern") {
-        "text" => litsearch::context_search::ContextSetKind::TextBased,
-        "pattern" => litsearch::context_search::ContextSetKind::PatternBased,
-        other => return Err(format!("--kind must be text or pattern, got {other:?}")),
+/// `serve`'s and `top`'s `--kind` and `--function`, pattern and
+/// pattern when absent.
+fn serve_pair(flags: &Flags) -> Result<(ContextSetKind, ScoreFunction), String> {
+    let kind = match flags.get("kind") {
+        Some(_) => parse_kind(flags)?,
+        None => ContextSetKind::PatternBased,
     };
     let function = match flags.get("function") {
         Some(_) => parse_function(flags)?,
         None => ScoreFunction::Pattern,
     };
-    let slow_threshold_ns = flags.get_usize("slow-threshold-ms", 50)? as u64 * 1_000_000;
+    Ok((kind, function))
+}
+
+/// `litsearch top`: drive keep-alive `/v1/search` load at a server and
+/// render the serving dashboard — windowed per-series latencies, SLO
+/// burn rates, and the slow-query leaderboard. `--target URL` drives a
+/// running server. Without it, `top` starts the server in process as
+/// `litsearch serve` does, one worker per client thread, so every row
+/// but the client's is time the server measured, and `--quality N`
+/// shadow-scores on that server. `--qps R` sends each client's
+/// requests at R a second (an open loop). `--once --json` prints one
+/// machine-readable report for CI.
+fn cmd_top(flags: &Flags) -> Result<(), String> {
+    use bench::load::{host_port, LoadConfig, LoadHarness, LoopMode};
+
+    // Every flag is read before the snapshot loads: loading a large
+    // snapshot costs real time, and a typo should fail now.
+    let seed = flags.get_usize("seed", 2007)? as u64;
+    let target = flags.get("target");
+    if let Some(target) = target {
+        host_port(target)?;
+        if flags.get("quality").is_some() {
+            return Err(
+                "--quality shadow-scores on the server: pass it to `litsearch serve`, \
+                 not to `top --target`"
+                    .to_string(),
+            );
+        }
+    }
+    let (kind, function) = serve_pair(flags)?;
+    let threads = flags.get_usize("threads", 4)?.max(1);
+    let mode = match flags.get("qps") {
+        None => LoopMode::Closed,
+        Some(rate) => LoopMode::Open {
+            qps_per_worker: rate.parse().map_err(|_| "--qps must be a number")?,
+        },
+    };
     let config = LoadConfig {
-        threads: flags.get_usize("threads", 4)?,
+        threads,
         queries_per_thread: flags.get_usize("queries", 200)?,
-        mode: LoopMode::Closed,
+        mode,
         limit: flags.get_usize("limit", 10)?,
         kind,
         function,
         window_secs: flags.get_usize("window", 60)? as u64,
-        slow_threshold_ns,
+        slow_threshold_ns: flags.get_usize("slow-threshold-ms", 50)? as u64 * 1_000_000,
         slow_capacity: flags.get_usize("slow-capacity", 10)?,
-        capture_traces: true,
-        error_every: flags.get_usize("error-every", 0)? as u64,
-        slos: default_serve_slos(slow_threshold_ns),
-        quality: match flags.get_usize("quality", 0)? {
-            0 => None,
-            every => Some(QualityLoadConfig {
-                sample_every: every as u64,
-                ..Default::default()
-            }),
-        },
     };
-    let once = flags.get_bool("once");
-    let as_json = flags.get_bool("json");
-    let refresh_ms = flags.get_usize("refresh-ms", 500)? as u64;
+    let refresh_ms = if flags.get_bool("once") {
+        0
+    } else {
+        flags.get_usize("refresh-ms", 500)? as u64
+    };
+    let setup = match target {
+        Some(_) => None,
+        None => Some(ServeSetup::from_flags(
+            flags,
+            "127.0.0.1:0".to_string(),
+            threads,
+        )?),
+    };
 
     let (searcher, queries) = dashboard_workload(flags, seed)?;
-
-    let harness = LoadHarness::new(config);
-    let report = if once {
-        harness.run(&searcher, &queries)
-    } else {
-        harness.run_with_tick(&searcher, &queries, refresh_ms, |h| {
-            // ANSI clear + home, then the current windowed view.
-            print!("\x1b[2J\x1b[H{}", h.report_now().render_dashboard());
-            use std::io::Write;
-            let _ = std::io::stdout().flush();
-        })
+    let (serving, target, rolling) = match setup {
+        Some(setup) => {
+            let serving = setup.start(searcher)?;
+            let target = format!("http://{}", serving.handle.local_addr());
+            let rolling = Arc::clone(&serving.rolling);
+            (Some(serving), target, rolling)
+        }
+        None => {
+            let rolling = obs::RollingRecorder::new(
+                obs::RollingConfig {
+                    bucket_secs: 1,
+                    window_secs: config.window_secs.max(60),
+                    shards: threads,
+                },
+                Arc::new(obs::MonotonicClock::new()),
+            );
+            let target = target.unwrap_or_default().to_string();
+            (None, target, Arc::new(rolling))
+        }
     };
-    if as_json {
+    eprintln!(
+        "driving {target}: {threads} clients × {} queries…",
+        config.queries_per_thread
+    );
+    let mut harness = LoadHarness::new(config, &target, rolling)?;
+    harness.run(&queries, refresh_ms, |h| {
+        // ANSI clear + home, then the current windowed view.
+        print!("\x1b[2J\x1b[H{}", h.report().render_dashboard());
+        use std::io::Write;
+        let _ = std::io::stdout().flush();
+    });
+    // Drain the in-process server before reading the report, so it
+    // holds every span the server recorded and every sample its shadow
+    // scorer took.
+    let quality = serving.and_then(|serving| {
+        let shadow = serving.shadow.clone();
+        serving.drain();
+        shadow.map(|shadow| obs::QualityReport {
+            summary: shadow.aggregator().summary(),
+            drift: None,
+        })
+    });
+    let mut report = harness.report();
+    report.quality = quality;
+    if flags.get_bool("json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.render_dashboard());
+    }
+    if report.transport_errors > 0 {
+        eprintln!(
+            "{} transport errors (counted as SLO errors)",
+            report.transport_errors
+        );
+    }
+    if report.has_hard_violation() && flags.get_bool("fail-on-violation") {
+        return Err("SLO hard violation (see report)".to_string());
+    }
+    if report.shed + report.rejected > 0 && flags.get_bool("fail-on-shed") {
+        return Err(format!(
+            "the server shed load: {} × 429, {} × 503",
+            report.shed, report.rejected
+        ));
     }
     Ok(())
 }
@@ -328,18 +464,107 @@ fn cmd_quality(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The serving searcher: a warm snapshot from disk, or a tiny
-/// in-process demo build when no `--snapshot` is given.
-fn serve_searcher(flags: &Flags, seed: u64) -> Result<Searcher, String> {
-    if let Some(dir) = flags.get("snapshot") {
-        eprintln!("loading snapshot from {dir}…");
-        let snapshot =
-            load_snapshot(Path::new(dir), EngineConfig::default()).map_err(|e| e.to_string())?;
-        Ok(snapshot.searcher())
-    } else {
-        eprintln!("no --snapshot: preparing a tiny in-process demo snapshot…");
-        let snapshot = litsearch::demo::snapshot(litsearch::demo::Scale::Tiny, seed);
-        Ok(snapshot.searcher())
+/// A server set up as `litsearch serve` sets one up. It is read from
+/// the flags before the snapshot loads, so a bad flag fails fast.
+struct ServeSetup {
+    config: serve::ServerConfig,
+    window_secs: u64,
+    slow_threshold_ns: u64,
+    slow_capacity: usize,
+    quality_every: u64,
+}
+
+/// A running server and the telemetry it feeds.
+struct Serving {
+    handle: serve::ServerHandle,
+    rolling: Arc<obs::RollingRecorder>,
+    slowlog: Arc<obs::SlowQueryLog>,
+    shadow: Option<Arc<litsearch::context_search::QualityShadow>>,
+}
+
+impl ServeSetup {
+    fn from_flags(flags: &Flags, addr: String, workers: usize) -> Result<Self, String> {
+        let (kind, function) = serve_pair(flags)?;
+        Ok(Self {
+            config: serve::ServerConfig {
+                addr,
+                workers,
+                queue_depth: flags.get_usize("queue-depth", 64)?,
+                deadline_ns: flags.get_usize("deadline-ms", 50)? as u64 * 1_000_000,
+                shed: !flags.get_bool("no-shed"),
+                defaults: serve::SearchDefaults {
+                    kind,
+                    function,
+                    limit: flags.get_usize("limit", 10)?,
+                },
+                keep_alive_idle_ns: 5_000_000_000,
+                shadow: None,
+            },
+            window_secs: flags.get_usize("window", 60)? as u64,
+            slow_threshold_ns: flags.get_usize("slow-threshold-ms", 50)? as u64 * 1_000_000,
+            slow_capacity: flags.get_usize("slow-capacity", 10)?,
+            quality_every: flags.get_usize("quality", 0)? as u64,
+        })
+    }
+
+    /// Turn telemetry on, stream spans into one rolling recorder (a
+    /// shard per worker) so /metrics and dashboards see live windows,
+    /// attach the slow-request leaderboard, spawn the shadow scorer
+    /// when `--quality N` asks for one, and start serving.
+    fn start(self, searcher: Searcher) -> Result<Serving, String> {
+        let mut config = self.config;
+        obs::enable();
+        let clock: Arc<dyn obs::Clock> = Arc::new(obs::MonotonicClock::new());
+        let rolling = Arc::new(obs::RollingRecorder::new(
+            obs::RollingConfig {
+                bucket_secs: 1,
+                window_secs: self.window_secs.max(60),
+                shards: config.workers,
+            },
+            Arc::clone(&clock),
+        ));
+        obs::attach_rolling(Arc::clone(&rolling));
+        let slowlog = Arc::new(obs::SlowQueryLog::new(
+            self.slow_threshold_ns,
+            self.slow_capacity,
+        ));
+        obs::attach_slow_log(Arc::clone(&slowlog));
+        if self.quality_every > 0 {
+            let aggregator = Arc::new(obs::QualityAggregator::new(Arc::clone(&rolling), 10));
+            obs::attach_quality(Arc::clone(&aggregator));
+            config.shadow = Some(Arc::new(litsearch::context_search::QualityShadow::spawn(
+                searcher.clone(),
+                litsearch::context_search::ShadowConfig {
+                    sample_every: self.quality_every,
+                    kind: config.defaults.kind,
+                    limit: config.defaults.limit,
+                    ..Default::default()
+                },
+                aggregator,
+            )));
+        }
+        let shadow = config.shadow.clone();
+        let addr = config.addr.clone();
+        let handle = serve::start_with_clock(searcher, config, clock)
+            .map_err(|e| format!("cannot start server on {addr}: {e}"))?;
+        Ok(Serving {
+            handle,
+            rolling,
+            slowlog,
+            shadow,
+        })
+    }
+}
+
+impl Serving {
+    /// Stop accepting, finish every admitted request, then drain the
+    /// shadow scorer so every sample it took is aggregated.
+    fn drain(self) -> serve::DrainSummary {
+        let summary = self.handle.await_drained();
+        if let Some(shadow) = &self.shadow {
+            shadow.finish();
+        }
+        summary
     }
 }
 
@@ -351,113 +576,39 @@ fn serve_searcher(flags: &Flags, seed: u64) -> Result<Searcher, String> {
 /// GET /metrics, GET /quality.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use std::io::Write as _;
-    use std::sync::Arc;
 
     let seed = flags.get_usize("seed", 2007)? as u64;
-    let host = flags.get("addr").unwrap_or("127.0.0.1").to_string();
+    let host = flags.get("addr").unwrap_or("127.0.0.1");
     let port = flags.get_usize("port", 8080)?;
     let workers = flags.get_usize("workers", 4)?.max(1);
-    let queue_depth = flags.get_usize("queue-depth", 64)?;
-    let deadline_ms = flags.get_usize("deadline-ms", 50)? as u64;
-    let window_secs = flags.get_usize("window", 60)? as u64;
-    let limit = flags.get_usize("limit", 10)?;
-    let slow_threshold_ns = flags.get_usize("slow-threshold-ms", 50)? as u64 * 1_000_000;
-    let quality_every = flags.get_usize("quality", 0)? as u64;
-    let kind = match flags.get("kind").unwrap_or("pattern") {
-        "text" => litsearch::context_search::ContextSetKind::TextBased,
-        "pattern" => litsearch::context_search::ContextSetKind::PatternBased,
-        other => return Err(format!("--kind must be text or pattern, got {other:?}")),
-    };
-    let function = match flags.get("function") {
-        Some(_) => parse_function(flags)?,
-        None => ScoreFunction::Pattern,
-    };
-
-    let searcher = serve_searcher(flags, seed)?;
-
-    // Serving observability: spans stream into a rolling recorder so
-    // /metrics and `litsearch top`-style tooling see live windows, and
-    // a slow-request leaderboard catches tail outliers.
-    obs::enable();
-    let clock: Arc<dyn obs::Clock> = Arc::new(obs::MonotonicClock::new());
-    let rolling = Arc::new(obs::RollingRecorder::new(
-        obs::RollingConfig {
-            bucket_secs: 1,
-            window_secs: window_secs.max(60),
-            shards: workers,
+    let setup = ServeSetup::from_flags(flags, format!("{host}:{port}"), workers)?;
+    let banner = format!(
+        "{workers} workers, queue depth {}, deadline {} ms, shedding {} — SIGTERM/SIGINT drains",
+        match setup.config.queue_depth {
+            0 => "unbounded".to_string(),
+            depth => depth.to_string(),
         },
-        Arc::clone(&clock),
-    ));
-    obs::attach_rolling(Arc::clone(&rolling));
-    let slowlog = Arc::new(obs::SlowQueryLog::new(
-        slow_threshold_ns,
-        flags.get_usize("slow-capacity", 10)?,
-    ));
-    obs::attach_slow_log(Arc::clone(&slowlog));
-    let shadow = if quality_every > 0 {
-        let aggregator = Arc::new(obs::QualityAggregator::new(Arc::clone(&rolling), 10));
-        obs::attach_quality(Arc::clone(&aggregator));
-        Some(Arc::new(litsearch::context_search::QualityShadow::spawn(
-            searcher.clone(),
-            litsearch::context_search::ShadowConfig {
-                sample_every: quality_every,
-                kind,
-                limit,
-                ..Default::default()
-            },
-            aggregator,
-        )))
-    } else {
-        None
-    };
+        setup.config.deadline_ns / 1_000_000,
+        if setup.config.shed { "on" } else { "off" },
+    );
 
-    let config = serve::ServerConfig {
-        addr: format!("{host}:{port}"),
-        workers,
-        queue_depth,
-        deadline_ns: deadline_ms * 1_000_000,
-        shed: !flags.get_bool("no-shed"),
-        defaults: serve::SearchDefaults {
-            kind,
-            function,
-            limit,
-        },
-        keep_alive_idle_ns: 5_000_000_000,
-        shadow: shadow.clone(),
-    };
-    let handle = serve::start_with_clock(searcher, config, clock)
-        .map_err(|e| format!("cannot start server on {host}:{port}: {e}"))?;
-    let addr = handle.local_addr();
+    let serving = setup.start(serve_searcher(flags, seed)?)?;
+    let addr = serving.handle.local_addr();
     println!("listening on http://{addr}");
     let _ = std::io::stdout().flush();
     if let Some(path) = flags.get("port-file") {
         std::fs::write(path, addr.port().to_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    eprintln!(
-        "{workers} workers, queue depth {}, deadline {} ms, shedding {} — SIGTERM/SIGINT drains",
-        if queue_depth == 0 {
-            "unbounded".to_string()
-        } else {
-            queue_depth.to_string()
-        },
-        deadline_ms,
-        if flags.get_bool("no-shed") {
-            "off"
-        } else {
-            "on"
-        },
-    );
+    eprintln!("{banner}");
 
     serve::signal::install_term_handler();
     while !serve::signal::term_requested() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     eprintln!("signal received: draining (stop accepting, finish in-flight)…");
-    let summary = handle.await_drained();
-    if let Some(shadow) = &shadow {
-        shadow.finish();
-    }
+    let slowlog = Arc::clone(&serving.slowlog);
+    let summary = serving.drain();
     eprintln!("drained: {}", summary.render());
     if let Some(path) = flags.get("slow-jsonl") {
         std::fs::write(path, slowlog.dump_jsonl())
@@ -481,9 +632,12 @@ USAGE:
                      --query TEXT [--limit N] [--repeat N]
   litsearch stats    --data DIR
   litsearch trace    --file PATH
-  litsearch top      [--snapshot DIR] [--threads N] [--queries N] [--window SECS]
-                     [--slow-threshold-ms MS] [--error-every N] [--refresh-ms MS]
-                     [--once] [--json] [--quality N]
+  litsearch top      [--snapshot DIR] [--target URL] [--threads N] [--queries N]
+                     [--qps RATE] [--kind text|pattern]
+                     [--function citation|text|pattern] [--limit N] [--window SECS]
+                     [--slow-threshold-ms MS] [--slow-capacity N] [--quality N]
+                     [--refresh-ms MS] [--once] [--json] [--fail-on-violation]
+                     [--fail-on-shed]
   litsearch quality  [--snapshot DIR] [--queries N] [--sample-every N]
                      [--baseline PATH] [--write-baseline PATH] [--report json|md]
                      [--out PATH] [--fail-on-drift]
@@ -491,8 +645,12 @@ USAGE:
                      [--queue-depth D] [--deadline-ms T] [--no-shed]
                      [--kind text|pattern] [--function citation|text|pattern]
                      [--limit N] [--window SECS] [--slow-threshold-ms MS]
-                     [--quality N] [--port-file PATH] [--slow-jsonl PATH]
+                     [--slow-capacity N] [--quality N] [--port-file PATH]
+                     [--slow-jsonl PATH]
   litsearch help
+
+A flag a command does not read is an error. `top`, `quality` and
+`serve` also take `--seed N` (queries and the demo build).
 
 `prepare` runs the whole offline phase — context sets, pattern mining,
 and all five standard prestige tables — as a dependency-ordered stage
@@ -517,14 +675,21 @@ selected contexts, candidate counts per stage, and per-function score
 components for the top results. `litsearch trace --file PATH` prints
 a self-time tree summarizing a captured Chrome trace.
 
-`top` drives query load at a snapshot (or a tiny in-process demo build
-when no `--snapshot` is given) and renders a live terminal dashboard:
-rolling-window p50/p95/p99 per pipeline stage, SLO burn rates, and the
-slow-query leaderboard with captured explain traces. `--once` runs one
-batch and prints a single report; `--json` emits it machine-readable
-(the CI artifact form). `--quality N` shadow-scores one of every N
-queries under all three prestige functions and adds the
-ranking-quality panel.
+`top` sends keep-alive POST /v1/search requests from `--threads`
+clients. Each client sends its next request when the last is answered,
+or, given `--qps R`, R requests a second (an open loop). It renders a
+live terminal dashboard: rolling-window p50/p95/p99 per series, SLO
+burn rates, and the slowest queries. `--target URL` drives a running
+`serve`; without it `top` starts the server in process as `serve`
+does (over `--snapshot`, or a tiny demo build), one worker per client,
+and the dashboard's rows other than `client.request` and `client.shed`
+are the server's own spans. The objectives hold client latency to
+`--slow-threshold-ms` at p99 and 99.9 % of answers to success.
+`--quality N` shadow-scores one of every N queries on the in-process
+server and adds the ranking-quality panel. `--once` runs one batch and
+prints a single report; `--json` emits it machine-readable (the CI
+artifact form); `--fail-on-violation` exits nonzero on a hard SLO
+violation and `--fail-on-shed` on any 429 or 503.
 
 `quality` shadow-scores every `--sample-every`-th of `--queries`
 queries on one thread, with no load, and emits the ranking-quality
@@ -554,21 +719,24 @@ struct Flags {
     pairs: Vec<(String, String)>,
 }
 
-/// Flags that take no value (presence means `true`).
-const BOOL_FLAGS: &[&str] = &["once", "json", "quiet", "fail-on-drift", "no-shed"];
-
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args` against the flags `command` reads (plus the global
+    /// ones); any other flag is a usage error that names it.
+    fn parse(command: &Command, args: &[String]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let key = args[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-            if BOOL_FLAGS.contains(&key) {
+            let listed = |flags: &str| flags.split_whitespace().any(|flag| flag == key);
+            if listed(command.switches) {
                 pairs.push((key.to_string(), "true".to_string()));
                 i += 1;
                 continue;
+            }
+            if !listed(command.values) && !listed(GLOBAL_FLAGS) {
+                return Err(format!("unknown flag --{key} for `{}`", command.name));
             }
             let value = args
                 .get(i + 1)
@@ -716,7 +884,7 @@ fn prepare_pair(
     flags: &Flags,
     kind: ContextSetKind,
     function: ScoreFunction,
-) -> Result<std::sync::Arc<EngineSnapshot>, String> {
+) -> Result<Arc<EngineSnapshot>, String> {
     let (ontology, corpus, _dir) = load_data(flags)?;
     let options = PrepareOptions {
         pairs: vec![(kind, function)],

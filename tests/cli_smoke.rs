@@ -496,67 +496,156 @@ fn prepare_then_snapshot_search_through_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `top --once --json`: one batch over the in-process demo snapshot,
-/// with the machine-readable dashboard report on stdout.
+/// `top --once --json` over the demo snapshot, parsed.
+fn top_json(args: &[&str]) -> (std::process::Output, serde_json::Value) {
+    let out = litsearch(&[&["top", "--once", "--json"], args].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let v = serde_json::from_str(stdout.trim())
+        .unwrap_or_else(|e| panic!("report is not JSON ({e}): {stdout}"));
+    (out, v)
+}
+
+/// The count of one windowed series in a `top` report.
+fn window_count(report: &serde_json::Value, series: &str) -> Option<f64> {
+    report["windows"]
+        .as_array()?
+        .iter()
+        .find(|w| w["name"].as_str() == Some(series))?["count"]
+        .as_f64()
+}
+
+/// `top --once --json` without `--target`: one batch at a server
+/// started in process, with the machine-readable dashboard report on
+/// stdout. The client's series sits beside the server's own spans, and
+/// no series is fed by both: each row counts at most one observation
+/// per request.
 #[test]
 fn top_once_json_emits_the_dashboard_report() {
-    let out = litsearch(&[
-        "top",
-        "--once",
-        "--json",
-        "--threads",
-        "2",
-        "--queries",
-        "20",
-    ]);
+    let (out, v) = top_json(&["--threads", "2", "--queries", "20"]);
     assert!(
         out.status.success(),
         "top: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let v: serde_json::Value = serde_json::from_str(stdout.trim()).expect("report is valid JSON");
-    let windows = v
-        .get("windows")
-        .and_then(|w| w.as_array())
-        .expect("report carries windowed stats");
-    assert!(!windows.is_empty(), "no window stats: {stdout}");
+    assert_eq!(v.get("mode").and_then(|m| m.as_str()), Some("closed"));
+    assert_eq!(window_count(&v, "client.request"), Some(40.0), "{v:?}");
+    for series in ["serve.http.exec", "serve.query", "search.rank"] {
+        assert!(
+            window_count(&v, series).is_some_and(|n| n >= 1.0),
+            "no server row {series}: {v:?}"
+        );
+    }
+    let windows = v.get("windows").and_then(|w| w.as_array()).unwrap();
+    for w in windows {
+        let count = w.get("count").and_then(|c| c.as_f64()).unwrap();
+        assert!(count <= 40.0, "a row counts more than 40 requests: {w:?}");
+    }
     assert!(v.get("slo").is_some(), "report carries the SLO block");
     // Quality sampling is opt-in; without --quality there is no panel.
-    assert!(v.get("quality").is_none(), "{stdout}");
+    assert!(v.get("quality").is_none(), "{v:?}");
 
-    // --quality N adds the ranking-quality block: sampled queries,
-    // pairwise overlaps, and per-function score distributions. The
-    // shadow queue holds more than the run's 10 samples, so none drop.
-    let out = litsearch(&[
-        "top",
-        "--once",
-        "--json",
-        "--threads",
-        "2",
-        "--queries",
-        "20",
-        "--quality",
-        "4",
-    ]);
+    // --quality N adds the ranking-quality block from the server's
+    // shadow scorer: sampled queries, pairwise overlaps, and
+    // per-function score distributions. The shadow queue holds more
+    // than the run's 10 samples, so none drop.
+    let (out, v) = top_json(&["--threads", "2", "--queries", "20", "--quality", "4"]);
     assert!(
         out.status.success(),
         "top --quality: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let v: serde_json::Value = serde_json::from_str(stdout.trim()).expect("report is valid JSON");
     let quality = v.get("quality").expect("quality panel present");
     let sampled = quality.get("sampled").and_then(|s| s.as_f64()).unwrap();
-    assert!(sampled >= 1.0, "no shadow-scored queries: {stdout}");
+    assert!(sampled >= 1.0, "no shadow-scored queries: {v:?}");
     let dropped = quality.get("dropped").and_then(|d| d.as_f64()).unwrap();
-    assert_eq!(dropped, 0.0, "no sample may drop: {stdout}");
+    assert_eq!(dropped, 0.0, "no sample may drop: {v:?}");
     assert!(
         quality
             .get("overlaps")
             .and_then(|o| o.as_array())
             .is_some_and(|o| !o.is_empty()),
-        "{stdout}"
+        "{v:?}"
+    );
+}
+
+/// `top`'s gate and loop shapes on the in-process server: a latency
+/// objective the server cannot meet is a measured hard violation, an
+/// open-loop rate answers every request, and shadow scoring aimed at a
+/// remote server is refused before any load runs.
+#[test]
+fn top_gates_on_measured_latency_and_paces_an_open_loop() {
+    let (out, v) = top_json(&[
+        "--threads",
+        "2",
+        "--queries",
+        "10",
+        "--slow-threshold-ms",
+        "0",
+        "--fail-on-violation",
+    ]);
+    assert!(!out.status.success(), "a 0 ms objective must fail the run");
+    let slos = v["slo"]["slos"].as_array().expect("SLO block");
+    let latency = slos
+        .iter()
+        .find(|e| e["objective"]["kind"].as_str() == Some("latency"))
+        .expect("latency objective");
+    assert_eq!(latency["status"].as_str(), Some("critical"), "{v:?}");
+
+    // The same violation on the terminal dashboard, with every section.
+    let out = litsearch(&[
+        "top",
+        "--once",
+        "--threads",
+        "1",
+        "--queries",
+        "5",
+        "--slow-threshold-ms",
+        "0",
+    ]);
+    assert!(out.status.success(), "no --fail-on-violation, no failure");
+    let dash = String::from_utf8_lossy(&out.stdout);
+    for section in [
+        "serving dashboard",
+        "serve.query",
+        "SLO burn:",
+        "CRITICAL",
+        "slow queries",
+    ] {
+        assert!(dash.contains(section), "no {section:?} in: {dash}");
+    }
+
+    let (out, v) = top_json(&["--threads", "2", "--queries", "10", "--qps", "200"]);
+    assert!(
+        out.status.success(),
+        "top --qps: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(v["mode"].as_str(), Some("open"), "{v:?}");
+    assert_eq!(v["total_queries"].as_f64(), Some(20.0), "{v:?}");
+    assert_eq!(v["transport_errors"].as_f64(), Some(0.0), "{v:?}");
+    assert_eq!(v["errors"].as_f64(), Some(0.0), "{v:?}");
+    let answered = window_count(&v, "client.request").unwrap_or(0.0)
+        + window_count(&v, "client.shed").unwrap_or(0.0);
+    assert_eq!(answered, 20.0, "{v:?}");
+
+    let out = litsearch(&[
+        "top",
+        "--once",
+        "--target",
+        "http://127.0.0.1:1",
+        "--quality",
+        "4",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "remote --quality must be refused");
+    assert!(stderr.contains("--quality"), "{stderr}");
+    assert!(
+        !stderr.contains("snapshot"),
+        "refused after loading: {stderr}"
+    );
+    assert!(
+        !stderr.contains("driving"),
+        "refused after load began: {stderr}"
     );
 }
 
@@ -659,6 +748,24 @@ fn helpful_errors_for_bad_usage() {
     let out = litsearch(&["stats", "--data", "/definitely/not/here"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
+
+    // A flag the command does not read is refused by name.
+    for args in [["quality", "--threads", "8"], ["top", "--error-every", "2"]] {
+        let out = litsearch(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[1]), "{args:?}: {stderr}");
+    }
+
+    // Switches take no value: `--once` does not swallow `--json`.
+    let out = litsearch(&["top", "--once", "--json"]);
+    assert!(
+        out.status.success(),
+        "top --once --json: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    serde_json::from_str::<serde_json::Value>(stdout.trim()).expect("one JSON report");
 
     // Help succeeds.
     let out = litsearch(&["help"]);

@@ -24,11 +24,11 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use litsearch::bench::netload::network_serve_slos;
+use litsearch::bench::load::network_serve_slos;
 use litsearch::context_search::Searcher;
 use litsearch::demo::{snapshot, Scale};
 use litsearch::serve::{self, DrainSummary, ExecHook, ServerConfig, ServerStats};
-use obs::{Clock, ManualClock, RollingConfig, RollingRecorder, SloReport, SloTracker};
+use obs::{Clock, ManualClock, RollingConfig, RollingRecorder, SloReport};
 
 const WORKERS: usize = 4;
 const QUEUE_DEPTH: usize = 64;
@@ -336,8 +336,8 @@ fn drive(run: Run) -> Outcome {
                 received += 1;
                 match status {
                     503 => continue,
-                    429 => rolling.record("serve.http.shed", latency_ns, false),
-                    _ => rolling.record("serve.http.request", latency_ns, status != 200),
+                    429 => rolling.record("client.shed", latency_ns, false),
+                    _ => rolling.record("client.request", latency_ns, status != 200),
                 }
                 received_admitted += 1;
             }
@@ -385,8 +385,12 @@ fn drive(run: Run) -> Outcome {
             "unexpected status {status}"
         );
     }
-    let slo = SloTracker::new(network_serve_slos(DEADLINE_NS), obs::default_burn_windows())
-        .evaluate(&rolling);
+    let slo = obs::slo::evaluate_at(
+        &rolling,
+        &network_serve_slos(DEADLINE_NS),
+        &obs::default_burn_windows(),
+        rolling.clock().now_ns(),
+    );
     Outcome {
         answers,
         slo,
