@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 /// The baseline files whose span sets are enforced, workspace-relative.
 /// Metrics baselines carry a `spans` array of `{name, ...}` objects;
 /// the quality baseline carries a `series` array of plain name strings
-/// (the rolling series the drift gate reads) — both spellings are
+/// (the summary series the drift gate reads) — both spellings are
 /// names that must survive in source.
 pub const BASELINE_FILES: &[&str] = &[
     "results/metrics_baseline.json",

@@ -26,8 +26,8 @@
 
 use context_search::{shadow_evaluate, ContextSetKind, ScoreFunction, Searcher, ShadowConfig};
 use obs::{
-    ManualClock, QualityAggregator, QualityBaseline, QualityReport, RollingConfig, RollingRecorder,
-    SloReport, SloSpec, SlowQuery, SlowQueryLog, WindowStats,
+    QualityAggregator, QualityBaseline, QualityReport, RollingRecorder, SloReport, SloSpec,
+    SlowQuery, SlowQueryLog, WindowStats,
 };
 use serde::Value;
 use std::io::{ErrorKind, Read, Write};
@@ -99,37 +99,26 @@ pub fn network_serve_slos(latency_threshold_ns: u64) -> Vec<SloSpec> {
 /// `n_queries` queries — request `seq` in `1..=n_queries` asks query
 /// `(seq − 1) mod queries.len()`, and every `shadow.sample_every`-th
 /// is sampled — re-ranked under every prestige function by
-/// [`shadow_evaluate`] on the calling thread, summarized into
-/// `n_bins` separability bins and, given a baseline, judged. A pure
-/// function of the snapshot and the stream: the report reads its
-/// (never moving) clock at 0.
+/// [`shadow_evaluate`] on the calling thread, summarized and, given a
+/// baseline, judged. A pure function of the snapshot and the stream.
 pub fn quality_gate(
     searcher: &Searcher,
     queries: &[String],
     n_queries: u64,
     shadow: &ShadowConfig,
-    n_bins: usize,
     baseline: Option<&QualityBaseline>,
 ) -> QualityReport {
-    let rolling = Arc::new(RollingRecorder::new(
-        RollingConfig {
-            bucket_secs: 1,
-            window_secs: 60,
-            shards: 1,
-        },
-        Arc::new(ManualClock::new(0)),
-    ));
-    let aggregator = QualityAggregator::new(rolling, n_bins);
+    let aggregator = QualityAggregator::new();
     let every = shadow.sample_every.max(1);
     if !queries.is_empty() {
         for seq in (every..=n_queries).step_by(every as usize) {
             let query = &queries[((seq - 1) % queries.len() as u64) as usize];
-            if let Some(event) = shadow_evaluate(searcher, shadow, query, 0, 0) {
+            if let Some(event) = shadow_evaluate(searcher, shadow, query) {
                 aggregator.record(&event);
             }
         }
     }
-    let summary = aggregator.summary_at(0);
+    let summary = aggregator.summary();
     let drift = baseline.map(|b| b.evaluate(&summary));
     QualityReport { summary, drift }
 }
@@ -684,7 +673,7 @@ mod tests {
     fn quality_gate_reports_are_identical_across_runs() {
         let (setup, queries) = testbed();
         let run = || {
-            let report = quality_gate(&setup.searcher, queries, 60, &gate_config(), 10, None);
+            let report = quality_gate(&setup.searcher, queries, 60, &gate_config(), None);
             assert_eq!(report.summary.sampled, 30, "every second of 60 queries");
             assert_eq!(report.summary.dropped, 0);
             report.to_json()
@@ -699,18 +688,13 @@ mod tests {
     fn quality_drift_gate_fires_on_flattened_prestige() {
         let (setup, queries) = testbed();
         // A healthy run writes the baseline...
-        let healthy = quality_gate(&setup.searcher, queries, 60, &gate_config(), 10, None);
-        let baseline = QualityBaseline::from_summary(
-            &healthy.summary,
-            10,
-            &obs::BaselineTolerances::default(),
-        );
+        let healthy = quality_gate(&setup.searcher, queries, 60, &gate_config(), None);
+        let baseline = QualityBaseline::from_summary(&healthy.summary);
         let judged = quality_gate(
             &setup.searcher,
             queries,
             60,
             &gate_config(),
-            10,
             Some(&baseline),
         );
         assert_eq!(
@@ -744,7 +728,7 @@ mod tests {
             ScoreFunction::Citation,
             flat,
         );
-        let drifted = quality_gate(&perturbed, queries, 60, &gate_config(), 10, Some(&baseline));
+        let drifted = quality_gate(&perturbed, queries, 60, &gate_config(), Some(&baseline));
         let drift = drifted.drift.as_ref().expect("baseline produces a verdict");
         assert!(
             drift.has_hard_violation(),

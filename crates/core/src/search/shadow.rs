@@ -8,23 +8,25 @@
 //! experiments. A [`QualityShadow`] does exactly that: a sampled
 //! fraction of served queries is handed to a background worker over a
 //! bounded channel; the worker re-executes each one under all three
-//! [`ScoreFunction`]s against the same immutable snapshot and folds
-//! the comparison into an [`obs::QualityAggregator`].
+//! [`ScoreFunction`]s against the same immutable snapshot, compares the
+//! rankings with `eval`'s own top-k% overlap, and folds the comparison
+//! into its [`QualityAggregator`].
 //!
-//! Serve-path cost when sampling is on: one atomic increment, one
-//! modulo, and (for sampled queries) one bounded `try_send` of an
-//! already-owned `String`. The worker never touches the snapshot
-//! mutably — [`Searcher`] is a lock-free handle — so serve results are
-//! bit-identical with the shadow on or off.
+//! Serve-path cost when sampling is on: one modulo and, for sampled
+//! queries, one bounded `try_send` of an owned copy of the query. The
+//! worker never touches the snapshot mutably — [`Searcher`] is a
+//! lock-free handle — so serve results are bit-identical with the
+//! shadow on or off. The worker mutes its thread's telemetry
+//! ([`obs::mute_thread`]), so its re-ranks stay out of the serving
+//! rows; each sample is one `quality.shadow_eval` span.
 
 use crate::context::ContextSetKind;
 use crate::prestige::ScoreFunction;
 use crate::search::serve::Searcher;
-use eval::{streaming_top_k_percent_overlap, StreamingTopK};
-use obs::{QualityAggregator, QualityEvent};
+use eval::top_k_percent_overlap;
+use obs::{QualityAggregator, QualityEvent, QualityReport};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -36,23 +38,23 @@ pub const SHADOW_FUNCTIONS: [ScoreFunction; 3] = [
     ScoreFunction::Pattern,
 ];
 
+/// Top fraction compared between two functions' rankings (the paper's
+/// top-k% overlapping ratio at k = 10 %).
+const TOP_PCT: f64 = 0.10;
+
+/// Bounded queue depth between serve threads and the worker; a sample
+/// that finds it full is dropped (serving never blocks) and counted.
+const QUEUE_CAPACITY: usize = 256;
+
 /// Knobs for a [`QualityShadow`].
 #[derive(Debug, Clone)]
 pub struct ShadowConfig {
-    /// Sample one of every `sample_every` observed queries; `0`
-    /// disables shadow scoring entirely (no worker is spawned).
+    /// Sample one of every `sample_every` observed queries (at least 1).
     pub sample_every: u64,
     /// Which §4 context paper set to rank against.
     pub kind: ContextSetKind,
     /// Result-list depth each function ranks to.
     pub limit: usize,
-    /// Top fraction compared between rankings (the paper's top-k%
-    /// overlapping ratio).
-    pub top_pct: f64,
-    /// Bounded queue depth between serve threads and the worker; a
-    /// sample that finds it full is dropped (serving never blocks) and
-    /// counted.
-    pub queue_capacity: usize,
 }
 
 impl Default for ShadowConfig {
@@ -63,17 +65,8 @@ impl Default for ShadowConfig {
             // equips with all three functions (§5's five tables).
             kind: ContextSetKind::PatternBased,
             limit: 50,
-            top_pct: 0.10,
-            queue_capacity: 256,
         }
     }
-}
-
-/// One sampled query in flight to the worker.
-struct ShadowJob {
-    query: String,
-    shard: usize,
-    ts_ns: u64,
 }
 
 /// Handle to the shadow-scoring worker. Submission is cheap and
@@ -81,40 +74,23 @@ struct ShadowJob {
 /// the queue and joins the worker so every accepted sample is in the
 /// aggregator before a report is built.
 pub struct QualityShadow {
-    tx: Mutex<Option<SyncSender<ShadowJob>>>,
+    tx: Mutex<Option<SyncSender<String>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     aggregator: Arc<QualityAggregator>,
     sample_every: u64,
-    submitted: AtomicU64,
-    accepted: AtomicU64,
 }
 
 impl QualityShadow {
-    /// Spawn the background worker (unless `sample_every == 0`, which
-    /// yields an inert shadow whose observe calls are near-free).
-    pub fn spawn(
-        searcher: Searcher,
-        config: ShadowConfig,
-        aggregator: Arc<QualityAggregator>,
-    ) -> Self {
-        if config.sample_every == 0 {
-            return Self {
-                tx: Mutex::new(None),
-                worker: Mutex::new(None),
-                aggregator,
-                sample_every: 0,
-                submitted: AtomicU64::new(0),
-                accepted: AtomicU64::new(0),
-            };
-        }
-        let (tx, rx) = sync_channel::<ShadowJob>(config.queue_capacity.max(1));
+    /// Spawn the background worker and the aggregator it feeds.
+    pub fn spawn(searcher: Searcher, config: ShadowConfig) -> Self {
+        let (tx, rx) = sync_channel::<String>(QUEUE_CAPACITY);
+        let aggregator = Arc::new(QualityAggregator::new());
         let agg = Arc::clone(&aggregator);
-        let cfg = config.clone();
+        let sample_every = config.sample_every;
         let worker = std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                if let Some(event) =
-                    shadow_evaluate(&searcher, &cfg, &job.query, job.shard, job.ts_ns)
-                {
+            obs::mute_thread();
+            while let Ok(query) = rx.recv() {
+                if let Some(event) = shadow_evaluate(&searcher, &config, &query) {
                     agg.record(&event);
                 }
             }
@@ -123,71 +99,34 @@ impl QualityShadow {
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
             aggregator,
-            sample_every: config.sample_every,
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
+            sample_every,
         }
     }
 
-    /// The aggregator sampled events land in.
-    pub fn aggregator(&self) -> &Arc<QualityAggregator> {
-        &self.aggregator
+    /// The run summary of every sample evaluated so far, without a
+    /// drift verdict: the `/quality` payload and `top`'s quality panel.
+    pub fn report(&self) -> QualityReport {
+        QualityReport {
+            summary: self.aggregator.summary(),
+            drift: None,
+        }
     }
 
-    /// Observe a served query with an internally assigned sequence
-    /// number (convenience for single-threaded callers; concurrent
-    /// callers should use [`observe_seq`](Self::observe_seq) with
-    /// their own deterministic sequence).
-    pub fn observe(&self, query: &str) {
-        let seq = self.submitted.fetch_add(1, Ordering::Relaxed);
-        let rolling = self.aggregator.rolling();
-        let shard = (seq as usize) % rolling.n_shards();
-        let ts_ns = rolling.clock().now_ns();
-        self.submit(seq, query, shard, ts_ns);
-    }
-
-    /// Observe a served query under a caller-supplied sequence number:
-    /// the sampling decision is `seq % sample_every == 0`, so a
-    /// deterministic sequence (e.g. the server's count of served
-    /// requests) yields the same sampled set on every run.
-    /// `shard`/`ts_ns` place the resulting events in the rolling
-    /// windows.
-    pub fn observe_seq(&self, seq: u64, query: &str, shard: usize, ts_ns: u64) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.submit(seq, query, shard, ts_ns);
-    }
-
-    fn submit(&self, seq: u64, query: &str, shard: usize, ts_ns: u64) {
-        if self.sample_every == 0 || !seq.is_multiple_of(self.sample_every) {
+    /// Observe served query number `seq`: it is sampled when
+    /// `seq % sample_every == 0`, so a deterministic sequence (the
+    /// server's count of served requests) samples the same queries on
+    /// every run.
+    pub fn observe(&self, seq: u64, query: &str) {
+        if !seq.is_multiple_of(self.sample_every) {
             return;
         }
         let tx = self.tx.lock();
         let Some(tx) = tx.as_ref() else {
             return;
         };
-        let job = ShadowJob {
-            query: query.to_string(),
-            shard,
-            ts_ns,
-        };
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.aggregator.add_dropped(1);
-            }
+        if tx.try_send(query.to_string()).is_err() {
+            self.aggregator.add_dropped(1);
         }
-    }
-
-    /// Queries observed (sampled or not).
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Samples accepted onto the queue.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
     }
 
     /// Close the queue and join the worker: on return, every accepted
@@ -215,29 +154,22 @@ pub fn shadow_evaluate(
     searcher: &Searcher,
     config: &ShadowConfig,
     query: &str,
-    shard: usize,
-    ts_ns: u64,
 ) -> Option<QualityEvent> {
-    let _span = obs::span(obs::quality::SHADOW_EVAL_SPAN);
+    let _span = obs::background_span(obs::quality::SHADOW_EVAL_SPAN);
     let sets = searcher.sets(config.kind);
 
-    // (function name, ranking, winning context) per prepared function,
-    // in SHADOW_FUNCTIONS order.
-    let mut ranked: Vec<(&'static str, StreamingTopK, crate::context::ContextId, f64)> =
-        Vec::with_capacity(SHADOW_FUNCTIONS.len());
+    // (function name, (paper, relevancy) ranking, winning context) per
+    // prepared function, in SHADOW_FUNCTIONS order.
+    let mut ranked = Vec::with_capacity(SHADOW_FUNCTIONS.len());
     let mut margins: Vec<(&'static str, f64)> = Vec::new();
     let mut scores: Vec<(&'static str, Vec<f64>)> = Vec::new();
     for function in SHADOW_FUNCTIONS {
         let Some(prestige) = searcher.prestige(config.kind, function) else {
             continue;
         };
-        let (results, _stats) = searcher.search_with_stats(query, sets, prestige, config.limit);
+        let results = searcher.search(query, sets, prestige, config.limit);
         if results.is_empty() {
             continue;
-        }
-        let mut top = StreamingTopK::keep_all();
-        for r in &results {
-            top.push(r.paper.0, r.relevancy);
         }
         let winner = results[0].context;
         let margin = if results.len() > 1 {
@@ -247,7 +179,8 @@ pub fn shadow_evaluate(
         };
         margins.push((function.name(), margin));
         scores.push((function.name(), prestige.score_values(winner).to_vec()));
-        ranked.push((function.name(), top, winner, margin));
+        let ranking: Vec<(u32, f64)> = results.iter().map(|r| (r.paper.0, r.relevancy)).collect();
+        ranked.push((function.name(), ranking, winner));
     }
     if ranked.is_empty() {
         return None;
@@ -256,23 +189,17 @@ pub fn shadow_evaluate(
     let mut overlaps = Vec::new();
     for i in 0..ranked.len() {
         for j in (i + 1)..ranked.len() {
-            let ratio = streaming_top_k_percent_overlap(&ranked[i].1, &ranked[j].1, config.top_pct);
+            let ratio = top_k_percent_overlap(&ranked[i].1, &ranked[j].1, TOP_PCT);
             overlaps.push((ranked[i].0, ranked[j].0, ratio));
         }
     }
     let agreement = if ranked.len() >= 2 {
-        Some(
-            ranked
-                .iter()
-                .all(|(_, _, winner, _)| *winner == ranked[0].2),
-        )
+        Some(ranked.iter().all(|(_, _, winner)| *winner == ranked[0].2))
     } else {
         None
     };
 
     Some(QualityEvent {
-        shard,
-        ts_ns,
         overlaps,
         agreement,
         margins,
@@ -286,8 +213,6 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::snapshot::EngineSnapshot;
     use corpus::{generate_corpus, CorpusConfig};
-    use obs::clock::{Clock, ManualClock};
-    use obs::{RollingConfig, RollingRecorder};
     use ontology::{generate_ontology, GeneratorConfig};
 
     fn testbed_searcher() -> Searcher {
@@ -309,23 +234,11 @@ mod tests {
         EngineSnapshot::prepare(onto, corp, EngineConfig::default()).searcher()
     }
 
-    fn aggregator(shards: usize) -> Arc<QualityAggregator> {
-        let rolling = Arc::new(RollingRecorder::new(
-            RollingConfig {
-                bucket_secs: 1,
-                window_secs: 120,
-                shards,
-            },
-            Arc::new(ManualClock::new(0)) as Arc<dyn Clock>,
-        ));
-        Arc::new(QualityAggregator::new(rolling, 10))
-    }
-
     #[test]
     fn shadow_evaluate_compares_all_prepared_functions() {
         let searcher = testbed_searcher();
         let config = ShadowConfig::default();
-        let event = shadow_evaluate(&searcher, &config, "biological process", 0, 0)
+        let event = shadow_evaluate(&searcher, &config, "biological process")
             .expect("testbed queries produce results");
         // Default prepare has all three functions for the text-based
         // set: three pairwise overlaps, three margins, three sketches.
@@ -345,54 +258,31 @@ mod tests {
     fn shadow_evaluate_is_deterministic() {
         let searcher = testbed_searcher();
         let config = ShadowConfig::default();
-        let a = shadow_evaluate(&searcher, &config, "binding", 3, 7).unwrap();
-        let b = shadow_evaluate(&searcher, &config, "binding", 3, 7).unwrap();
+        let a = shadow_evaluate(&searcher, &config, "binding").unwrap();
+        let b = shadow_evaluate(&searcher, &config, "binding").unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn worker_drains_into_aggregator_on_finish() {
         let searcher = testbed_searcher();
-        let agg = aggregator(2);
         let shadow = QualityShadow::spawn(
             searcher,
             ShadowConfig {
                 sample_every: 2,
                 ..Default::default()
             },
-            Arc::clone(&agg),
         );
         let queries = ["biological process", "binding", "molecular function"];
         for (i, q) in queries.iter().enumerate() {
-            shadow.observe_seq(i as u64, q, i % 2, i as u64 * obs::SECOND_NS);
+            shadow.observe(i as u64, q);
         }
         shadow.finish();
         // Sequences 0 and 2 sample; both must be aggregated by now.
-        assert_eq!(shadow.submitted(), 3);
-        assert_eq!(shadow.accepted(), 2);
-        assert_eq!(agg.events(), 2);
-        let summary = agg.summary_at(0);
+        let summary = shadow.report().summary;
         assert_eq!(summary.sampled, 2);
         assert_eq!(summary.dropped, 0);
         assert!(!summary.overlaps.is_empty());
-    }
-
-    #[test]
-    fn disabled_shadow_is_inert() {
-        let searcher = testbed_searcher();
-        let agg = aggregator(1);
-        let shadow = QualityShadow::spawn(
-            searcher,
-            ShadowConfig {
-                sample_every: 0,
-                ..Default::default()
-            },
-            Arc::clone(&agg),
-        );
-        shadow.observe("binding");
-        shadow.finish();
-        assert_eq!(agg.events(), 0);
-        assert_eq!(shadow.accepted(), 0);
     }
 
     #[test]
@@ -406,14 +296,12 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let agg = aggregator(1);
         let shadow = QualityShadow::spawn(
             searcher.clone(),
             ShadowConfig {
                 sample_every: 1,
                 ..Default::default()
             },
-            Arc::clone(&agg),
         );
         let with_shadow: Vec<_> = ["biological process", "binding"]
             .iter()
@@ -422,12 +310,12 @@ mod tests {
                 let r = searcher
                     .query(q, ContextSetKind::TextBased, ScoreFunction::Text, 10)
                     .unwrap();
-                shadow.observe_seq(i as u64, q, 0, 0);
+                shadow.observe(i as u64, q);
                 r
             })
             .collect();
         shadow.finish();
-        assert_eq!(agg.events(), 2);
+        assert_eq!(shadow.report().summary.sampled, 2);
         for (a, b) in baseline.iter().zip(&with_shadow) {
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
@@ -441,7 +329,7 @@ mod tests {
     fn prestige_override_degrades_the_shadow_signal() {
         let searcher = testbed_searcher();
         let config = ShadowConfig::default();
-        let healthy = shadow_evaluate(&searcher, &config, "biological process", 0, 0).unwrap();
+        let healthy = shadow_evaluate(&searcher, &config, "biological process").unwrap();
 
         // Flatten the citation function: every paper in every context
         // gets the same score. Separability collapses to the worst
@@ -464,7 +352,7 @@ mod tests {
         let perturbed_searcher =
             searcher.with_prestige_override(config.kind, ScoreFunction::Citation, flat);
         let perturbed =
-            shadow_evaluate(&perturbed_searcher, &config, "biological process", 0, 0).unwrap();
+            shadow_evaluate(&perturbed_searcher, &config, "biological process").unwrap();
 
         let flat_scores = &perturbed
             .scores

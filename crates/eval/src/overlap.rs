@@ -132,4 +132,31 @@ mod tests {
         assert_eq!(top_k_overlap(&s, &[], 1), 0.0);
         assert_eq!(top_k_overlap(&s, &s, 0), 0.0);
     }
+
+    /// Distinct ids with scores in 1/8ths: ties at the kth score are
+    /// common, so the tie rule is exercised on most inputs.
+    fn tie_heavy(raw: &[(u32, u8)]) -> Vec<(u32, f64)> {
+        let mut seen = HashSet::new();
+        raw.iter()
+            .filter(|&&(id, _)| seen.insert(id))
+            .map(|&(id, q)| (id, q as f64 / 8.0))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn overlap_does_not_depend_on_input_order(
+            raw1 in proptest::collection::vec((0u32..64, 0u8..=8), 0..48),
+            raw2 in proptest::collection::vec((0u32..64, 0u8..=8), 0..48),
+            pct_times_100 in 1u32..=50,
+        ) {
+            let (s1, s2) = (tie_heavy(&raw1), tie_heavy(&raw2));
+            let pct = pct_times_100 as f64 / 100.0;
+            let reversed = |s: &[(u32, f64)]| s.iter().rev().copied().collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                top_k_percent_overlap(&s1, &s2, pct).to_bits(),
+                top_k_percent_overlap(&reversed(&s1), &reversed(&s2), pct).to_bits()
+            );
+        }
+    }
 }

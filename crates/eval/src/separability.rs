@@ -15,19 +15,30 @@
 /// clamped. Returns 0.0 for an empty context (nothing to separate).
 pub fn separability_sd(scores: &[f64], n_bins: usize) -> f64 {
     assert!(n_bins >= 1, "need at least one bin");
-    if scores.is_empty() {
+    let mut counts = vec![0u64; n_bins];
+    for &s in scores {
+        counts[separability_bin(s, n_bins)] += 1;
+    }
+    separability_sd_of_counts(&counts)
+}
+
+/// The range, of `n_bins` (at least 1) equal ranges over [0, 1], that
+/// `score` falls in: clamped to [0, 1], and a score of exactly 1.0 in
+/// the last range.
+pub fn separability_bin(score: f64, n_bins: usize) -> usize {
+    let bin = (score.clamp(0.0, 1.0) * n_bins as f64) as usize;
+    bin.min(n_bins - 1)
+}
+
+/// The separability SD from the per-range counts [`separability_bin`]
+/// gives (`counts.len()` ranges); 0.0 when every count is 0.
+pub fn separability_sd_of_counts(counts: &[u64]) -> f64 {
+    let n_bins = counts.len();
+    let total = counts.iter().sum::<u64>();
+    if total == 0 {
         return 0.0;
     }
-    let mut counts = vec![0usize; n_bins];
-    for &s in scores {
-        let s = s.clamp(0.0, 1.0);
-        let mut bin = (s * n_bins as f64) as usize;
-        if bin == n_bins {
-            bin -= 1; // score exactly 1.0 falls in the last range
-        }
-        counts[bin] += 1;
-    }
-    let total = scores.len() as f64;
+    let total = total as f64;
     let expected = 100.0 / n_bins as f64;
     let var = counts
         .iter()

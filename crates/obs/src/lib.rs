@@ -32,8 +32,13 @@
 //! objectives; [`slowlog`] keeps the slowest requests. All of it reads
 //! time through the injectable [`Clock`] in [`clock`], so windowed
 //! output is deterministic under a [`ManualClock`].
+//!
+//! A thread whose work is not serving (the shadow scorer re-ranking a
+//! sampled query) calls [`mute_thread`] once: its hooks record nothing
+//! from then on, so the serving rows count served requests only. Its
+//! own unit of work is a [`background_span`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -53,8 +58,8 @@ pub mod trace;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::Histogram;
 pub use quality::{
-    BaselineTolerances, DriftCheck, FunctionScores, QualityAggregator, QualityBaseline,
-    QualityDriftReport, QualityEvent, QualityReport, QualitySummary, ScoreSketch, SeriesMean,
+    DriftCheck, FunctionScores, QualityAggregator, QualityBaseline, QualityDriftReport,
+    QualityEvent, QualityReport, QualitySummary, ScoreSketch, SeriesMean,
 };
 pub use rolling::{RollingConfig, RollingRecorder, WindowStats, SECOND_NS};
 pub use slo::{
@@ -86,12 +91,12 @@ struct SpanStats {
 /// [`reset`](Self::reset) drops every recorded datum — counters,
 /// gauges, histograms, span stats — **and** clears the live-serving
 /// attachments' state: an attached [`RollingRecorder`]'s windows are
-/// emptied, an attached [`SlowQueryLog`] is cleared, and an attached
-/// [`QualityAggregator`]'s run accumulators and sketches are dropped.
-/// The attachments themselves stay attached and the enabled flag is
+/// emptied and an attached [`SlowQueryLog`] is cleared. The
+/// attachments themselves stay attached and the enabled flag is
 /// unchanged, so a reset registry keeps feeding the same windows. A
 /// reset registry therefore reports empty windows until new
-/// observations arrive.
+/// observations arrive. A ranking-quality summary is not registry
+/// state: it belongs to the server's shadow scorer.
 #[derive(Default)]
 pub struct Registry {
     enabled: AtomicBool,
@@ -104,7 +109,6 @@ pub struct Registry {
     rolling_on: AtomicBool,
     rolling: Mutex<Option<Arc<RollingRecorder>>>,
     slowlog: Mutex<Option<Arc<SlowQueryLog>>>,
-    quality: Mutex<Option<Arc<QualityAggregator>>>,
 }
 
 impl Registry {
@@ -119,7 +123,6 @@ impl Registry {
             rolling_on: AtomicBool::new(false),
             rolling: Mutex::new(None),
             slowlog: Mutex::new(None),
-            quality: Mutex::new(None),
         }
     }
 
@@ -140,7 +143,7 @@ impl Registry {
     }
 
     /// Drop all recorded data and clear the state of every live-serving
-    /// attachment (rolling windows, slow-query log, quality). The
+    /// attachment (rolling windows, slow-query log). The
     /// attachments stay attached; the enabled flag is unchanged. See
     /// the type-level reset contract.
     pub fn reset(&self) {
@@ -153,9 +156,6 @@ impl Registry {
         }
         if let Some(slowlog) = self.slowlog.lock().as_ref() {
             slowlog.clear();
-        }
-        if let Some(quality) = self.quality.lock().as_ref() {
-            quality.reset();
         }
     }
 
@@ -191,21 +191,10 @@ impl Registry {
         self.slowlog.lock().clone()
     }
 
-    /// Attach a ranking-quality aggregator so [`reset`](Self::reset)
-    /// covers its run accumulators and dashboards can find it.
-    pub fn attach_quality(&self, aggregator: Arc<QualityAggregator>) {
-        *self.quality.lock() = Some(aggregator);
-    }
-
-    /// The attached quality aggregator, if any.
-    pub fn quality_aggregator(&self) -> Option<Arc<QualityAggregator>> {
-        self.quality.lock().clone()
-    }
-
     /// Add `delta` to a monotonic counter.
     #[inline]
     pub fn counter(&self, name: &str, delta: u64) {
-        if !self.is_enabled() {
+        if !self.is_enabled() || muted() {
             return;
         }
         let mut map = self.counters.lock();
@@ -220,7 +209,7 @@ impl Registry {
     /// Set a gauge to `value`.
     #[inline]
     pub fn gauge(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
+        if !self.is_enabled() || muted() {
             return;
         }
         let mut map = self.gauges.lock();
@@ -235,7 +224,7 @@ impl Registry {
     /// Record one observation into a log-scale histogram.
     #[inline]
     pub fn observe(&self, name: &str, value: u64) {
-        if !self.is_enabled() {
+        if !self.is_enabled() || muted() {
             return;
         }
         self.histograms
@@ -245,7 +234,9 @@ impl Registry {
             .record(value);
     }
 
-    fn record_span(&self, name: &str, total_ns: u64, self_ns: u64) {
+    /// Fold one closed span into the span table and, unless it is a
+    /// [`background_span`], into the rolling windows.
+    fn record_span(&self, name: &str, total_ns: u64, self_ns: u64, windowed: bool) {
         {
             let mut map = self.spans.lock();
             let stats = map.entry(name.to_string()).or_default();
@@ -253,6 +244,9 @@ impl Registry {
             stats.total_ns += total_ns;
             stats.self_ns += self_ns;
             stats.durations.record(total_ns);
+        }
+        if !windowed {
+            return;
         }
         if let Some(rolling) = self.rolling() {
             rolling.record(name, total_ns, false);
@@ -390,32 +384,11 @@ pub fn slow_log() -> Option<Arc<SlowQueryLog>> {
     GLOBAL.slow_log()
 }
 
-/// Attach a ranking-quality aggregator to the global registry.
-pub fn attach_quality(aggregator: Arc<QualityAggregator>) {
-    GLOBAL.attach_quality(aggregator);
-}
-
-/// The global registry's quality aggregator, if attached.
-pub fn quality_aggregator() -> Option<Arc<QualityAggregator>> {
-    GLOBAL.quality_aggregator()
-}
-
 /// Snapshot the global registry as a JSON string (the `/metrics`
 /// payload of the serving frontend; handlers call through this free
 /// function so the lock-policed handler files never hold a guard).
 pub fn snapshot_json() -> String {
     GLOBAL.snapshot().to_json()
-}
-
-/// The attached quality aggregator's run-level summary as JSON (the
-/// `/quality` payload), or `None` when shadow sampling is off.
-pub fn quality_summary_json() -> Option<String> {
-    let aggregator = GLOBAL.quality_aggregator()?;
-    let report = QualityReport {
-        summary: aggregator.summary(),
-        drift: None,
-    };
-    Some(report.to_json())
 }
 
 /// Snapshot the global registry and write pretty JSON to `path`,
@@ -451,26 +424,49 @@ pub fn trace_finish() -> Option<TraceData> {
     trace::global().finish()
 }
 
-/// Whether a trace is currently collecting. Guard attribute
-/// construction with this so disabled tracing costs one relaxed load.
+/// Whether a trace is currently collecting events from this thread.
+/// Guard attribute construction with this so disabled tracing costs
+/// one relaxed load.
 #[inline]
 pub fn trace_enabled() -> bool {
-    trace::global().is_enabled()
+    trace::global().is_enabled() && !muted()
 }
 
 /// Emit an instant event with typed attributes into the active trace
-/// (no-op when tracing is off). Attribute values convert via `Into`:
-/// `("rank", 3usize.into())`, `("context", name.into())`.
+/// (no-op when tracing is off or the thread is muted). Attribute
+/// values convert via `Into`: `("rank", 3usize.into())`,
+/// `("context", name.into())`.
 #[inline]
 pub fn trace_instant(name: &str, attrs: Vec<(String, AttrValue)>) {
-    trace::global().record(trace::TracePhase::Instant, name, attrs);
+    if trace_enabled() {
+        trace::global().record(trace::TracePhase::Instant, name, attrs);
+    }
 }
 
-// Per-thread stack of child-time accumulators for open spans. Pushed on
-// span start, popped on drop; the popped total flows into the parent's
-// accumulator so self-time = elapsed − child time.
 thread_local! {
+    // Per-thread stack of child-time accumulators for open spans.
+    // Pushed on span start, popped on drop; the popped total flows into
+    // the parent's accumulator so self-time = elapsed − child time.
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    // Set by [`mute_thread`]; never cleared.
+    static MUTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Mute the calling thread for the rest of its life: its spans,
+/// counters, gauges, histogram observations and trace events record
+/// nothing, in any registry, except [`background_span`]s. A thread that
+/// re-runs served queries off the serve path (the shadow scorer) calls
+/// it once when it starts, so the serving rows (`engine.search`,
+/// `search.*`, `engine.queries`, …) count served requests only. Every
+/// hook reads the flag after its enabled check, so the disabled path
+/// stays one relaxed load.
+pub fn mute_thread() {
+    MUTED.with(|m| m.set(true));
+}
+
+#[inline]
+fn muted() -> bool {
+    MUTED.with(Cell::get)
 }
 
 /// RAII timer over the global registry: records duration (and
@@ -489,6 +485,8 @@ struct SpanInner {
     metrics: bool,
     /// A trace begin event was emitted and awaits its end event.
     traced: bool,
+    /// Feed the rolling windows on close (false for background spans).
+    windowed: bool,
 }
 
 /// Open a span named `name` (dotted `stage.substage` convention).
@@ -497,8 +495,28 @@ struct SpanInner {
 #[must_use = "bind the guard; `let _ = obs::span(..)` drops it immediately"]
 #[inline]
 pub fn span(name: &'static str) -> Span {
+    open_span(name, false)
+}
+
+/// Open a span for work off the serve path, such as the shadow
+/// scorer's `quality.shadow_eval`: it records its count and times in
+/// the registry's span table even on a muted thread ([`mute_thread`]),
+/// and never enters the rolling windows, which hold serving time. It
+/// emits no trace events on a muted thread.
+#[must_use = "bind the guard; `let _ = obs::background_span(..)` drops it immediately"]
+pub fn background_span(name: &'static str) -> Span {
+    open_span(name, true)
+}
+
+#[inline]
+fn open_span(name: &'static str, background: bool) -> Span {
     let metrics = enabled();
-    let traced = trace_enabled();
+    let traced = trace::global().is_enabled();
+    if !metrics && !traced {
+        return Span { inner: None };
+    }
+    let muted = muted();
+    let (metrics, traced) = (metrics && (background || !muted), traced && !muted);
     if !metrics && !traced {
         return Span { inner: None };
     }
@@ -514,6 +532,7 @@ pub fn span(name: &'static str) -> Span {
             start: Instant::now(),
             metrics,
             traced,
+            windowed: !background,
         }),
     }
 }
@@ -536,7 +555,12 @@ impl Drop for Span {
                 }
                 child
             });
-            GLOBAL.record_span(inner.name, total_ns, total_ns.saturating_sub(child_ns));
+            GLOBAL.record_span(
+                inner.name,
+                total_ns,
+                total_ns.saturating_sub(child_ns),
+                inner.windowed,
+            );
         }
     }
 }

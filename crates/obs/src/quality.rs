@@ -6,21 +6,17 @@
 //! and separability of per-context score distributions (Figs 5.4–5.7).
 //! This module runs the same statistics *continuously* against sampled
 //! live queries: the core crate's shadow scorer re-ranks a sampled
-//! query under every prepared prestige function and emits one
-//! [`QualityEvent`]; the [`QualityAggregator`] folds events into
+//! query under every prepared prestige function, computes the overlaps
+//! with `eval`'s own function, and emits one [`QualityEvent`]; the
+//! [`QualityAggregator`] folds events into one run summary:
 //!
-//! * **rolling series** (via the attached [`RollingRecorder`], so the
-//!   dashboard windows pick them up like any latency series) — ratios
-//!   are recorded as fixed-point nanosecond-slot values scaled by
-//!   [`RATIO_SCALE`],
 //! * **run-level accumulators** — integer bin counts and scaled-integer
 //!   sums only, so the summary is independent of event arrival order
 //!   (worker interleaving) and byte-stable for a fixed sample stream
 //!   (`litsearch quality`),
-//! * **score sketches** per prestige function ([`ScoreSketch`]) —
-//!   streaming bin histograms over the normalized score range [0, 1]
-//!   reusing [`eval::StreamingSeparability`], from which the summary
-//!   derives separability SD and quantiles.
+//! * **score sketches** per prestige function ([`ScoreSketch`]) — bin
+//!   counts over the normalized score range [0, 1], binned and reduced
+//!   to a separability SD by `eval`'s own two steps, plus quantiles.
 //!
 //! Drift is judged against a checked-in [`QualityBaseline`]
 //! (`results/quality_baseline.json`): overlap bands in both directions
@@ -31,19 +27,20 @@
 //! `span-coverage` lint can anchor the names in
 //! `results/quality_baseline.json` to the source.
 
-use crate::rolling::RollingRecorder;
 use crate::slo::SloStatus;
-use eval::StreamingSeparability;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Fixed-point scale for ratios recorded into rolling series: a ratio
-/// in [0, 1] is stored as `(ratio * RATIO_SCALE) as u64`, so windowed
-/// percentiles read back as millionths.
+/// Fixed-point scale of the run accumulators: a ratio in [0, 1] is
+/// summed as `(ratio * RATIO_SCALE).round() as u64`, so sums are exact
+/// and independent of the order events arrive in.
 pub const RATIO_SCALE: u64 = 1_000_000;
+
+/// Separability ranges of every score sketch (the paper's 10 equal
+/// score ranges, Figs 5.4–5.7).
+pub const SKETCH_BINS: usize = 10;
 
 /// Pairwise top-k% overlap series between prestige-function rankings.
 pub const OVERLAP_CITATION_TEXT: &str = "quality.overlap.citation_text";
@@ -51,9 +48,8 @@ pub const OVERLAP_CITATION_TEXT: &str = "quality.overlap.citation_text";
 pub const OVERLAP_CITATION_PATTERN: &str = "quality.overlap.citation_pattern";
 /// See [`OVERLAP_CITATION_TEXT`].
 pub const OVERLAP_TEXT_PATTERN: &str = "quality.overlap.text_pattern";
-/// Winning-context agreement series: value 1 when every function picks
-/// the same winning context, and the error flag carries disagreement,
-/// so the window's `error_rate` is the disagreement rate.
+/// Winning-context agreement: the share of sampled queries where every
+/// function picks the same winning context.
 pub const AGREEMENT: &str = "quality.agreement";
 /// Top1−top2 relevancy margin series, one per prestige function.
 pub const MARGIN_CITATION: &str = "quality.margin.citation";
@@ -61,8 +57,8 @@ pub const MARGIN_CITATION: &str = "quality.margin.citation";
 pub const MARGIN_TEXT: &str = "quality.margin.text";
 /// See [`MARGIN_CITATION`].
 pub const MARGIN_PATTERN: &str = "quality.margin.pattern";
-/// Separability-sketch identifiers (not rolling series — they name the
-/// per-function score sketches in summaries, baselines, and reports).
+/// Separability-sketch identifiers: they name the per-function score
+/// sketches in summaries, baselines, and reports.
 pub const SEPARABILITY_CITATION: &str = "quality.separability.citation";
 /// See [`SEPARABILITY_CITATION`].
 pub const SEPARABILITY_TEXT: &str = "quality.separability.text";
@@ -87,7 +83,7 @@ pub fn all_series() -> [&'static str; 10] {
     ]
 }
 
-/// The rolling series for a pair of prestige-function names
+/// The overlap series for a pair of prestige-function names
 /// (order-insensitive); `None` for unknown names.
 pub fn overlap_series(a: &str, b: &str) -> Option<&'static str> {
     match (a, b) {
@@ -136,10 +132,6 @@ fn unscale(sum_scaled: u64, count: u64) -> f64 {
 /// ignorant of core types.
 #[derive(Debug, Clone)]
 pub struct QualityEvent {
-    /// Rolling-recorder shard the originating worker owns.
-    pub shard: usize,
-    /// Completion timestamp of the originating query, nanoseconds.
-    pub ts_ns: u64,
     /// Pairwise top-k% overlap between function rankings.
     pub overlaps: Vec<(&'static str, &'static str, f64)>,
     /// Did every evaluated function pick the same winning context?
@@ -152,33 +144,34 @@ pub struct QualityEvent {
     pub scores: Vec<(&'static str, Vec<f64>)>,
 }
 
-/// Streaming sketch of one score distribution over [0, 1]: bin counts
-/// (shared with the separability statistic), a fixed-point sum for the
-/// mean, and min/max. Everything derivable from it is independent of
-/// push order.
+/// Sketch of one score distribution over [0, 1]: [`SKETCH_BINS`] bin
+/// counts (the separability statistic's input), a fixed-point sum for
+/// the mean, and min/max. Everything derivable from it is independent
+/// of push order.
 #[derive(Debug, Clone)]
 pub struct ScoreSketch {
-    sep: StreamingSeparability,
+    bins: [u64; SKETCH_BINS],
     sum_scaled: u64,
     min: f64,
     max: f64,
 }
 
-impl ScoreSketch {
-    /// An empty sketch with `n_bins` ranges.
-    pub fn new(n_bins: usize) -> Self {
+impl Default for ScoreSketch {
+    fn default() -> Self {
         Self {
-            sep: StreamingSeparability::new(n_bins),
+            bins: [0; SKETCH_BINS],
             sum_scaled: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
+}
 
+impl ScoreSketch {
     /// Add one score (clamped to [0, 1]).
     pub fn push(&mut self, score: f64) {
         let s = score.clamp(0.0, 1.0);
-        self.sep.push(s);
+        self.bins[eval::separability_bin(s, SKETCH_BINS)] += 1;
         self.sum_scaled += scale_ratio(s);
         self.min = self.min.min(s);
         self.max = self.max.max(s);
@@ -186,7 +179,7 @@ impl ScoreSketch {
 
     /// Scores observed.
     pub fn count(&self) -> u64 {
-        self.sep.total()
+        self.bins.iter().sum()
     }
 
     /// Mean score (0 when empty), from the fixed-point sum.
@@ -214,7 +207,7 @@ impl ScoreSketch {
 
     /// The paper's separability SD over everything pushed.
     pub fn separability_sd(&self) -> f64 {
-        self.sep.sd()
+        eval::separability_sd_of_counts(&self.bins)
     }
 
     /// Bin-midpoint quantile: the midpoint of the bin holding the
@@ -227,20 +220,20 @@ impl ScoreSketch {
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let n_bins = self.sep.counts().len();
+        let n_bins = SKETCH_BINS as f64;
         let mut seen = 0u64;
-        for (i, &c) in self.sep.counts().iter().enumerate() {
+        for (i, &c) in self.bins.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return (i as f64 + 0.5) / n_bins as f64;
+                return (i as f64 + 0.5) / n_bins;
             }
         }
-        (n_bins as f64 - 0.5) / n_bins as f64
+        (n_bins - 0.5) / n_bins
     }
 
     /// Raw bin counts (ascending score ranges).
     pub fn bins(&self) -> &[u64] {
-        self.sep.counts()
+        &self.bins
     }
 }
 
@@ -262,7 +255,7 @@ impl RatioAcc {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct AggState {
     events: u64,
     agree_true: u64,
@@ -272,53 +265,20 @@ struct AggState {
     sketches: BTreeMap<&'static str, ScoreSketch>,
 }
 
-impl AggState {
-    fn new() -> Self {
-        Self {
-            events: 0,
-            agree_true: 0,
-            agree_total: 0,
-            overlaps: BTreeMap::new(),
-            margins: BTreeMap::new(),
-            sketches: BTreeMap::new(),
-        }
-    }
-}
-
-/// Folds [`QualityEvent`]s into rolling series and order-independent
-/// run accumulators. One instance is shared between the shadow worker
-/// (writer) and report builders (readers); all state is commutative,
-/// so any arrival interleaving yields the same summary.
+/// Folds [`QualityEvent`]s into order-independent run accumulators.
+/// One instance is shared between the shadow worker (writer) and report
+/// builders (readers); all state is commutative, so any arrival
+/// interleaving yields the same summary.
+#[derive(Default)]
 pub struct QualityAggregator {
-    rolling: Arc<RollingRecorder>,
-    n_bins: usize,
     state: Mutex<AggState>,
     dropped: AtomicU64,
 }
 
 impl QualityAggregator {
-    /// An aggregator feeding `rolling` (typically the recorder already
-    /// attached to the registry, so quality series appear alongside
-    /// latency series in every dashboard window), sketching scores
-    /// into `n_bins` separability bins.
-    pub fn new(rolling: Arc<RollingRecorder>, n_bins: usize) -> Self {
-        assert!(n_bins >= 1, "need at least one sketch bin");
-        Self {
-            rolling,
-            n_bins,
-            state: Mutex::new(AggState::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// The recorder quality series land in.
-    pub fn rolling(&self) -> &Arc<RollingRecorder> {
-        &self.rolling
-    }
-
-    /// Separability bin count used by the sketches.
-    pub fn n_bins(&self) -> usize {
-        self.n_bins
+    /// An empty aggregator.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Fold one event in.
@@ -327,8 +287,6 @@ impl QualityAggregator {
         state.events += 1;
         for &(a, b, v) in &event.overlaps {
             if let Some(series) = overlap_series(a, b) {
-                self.rolling
-                    .record_at(event.shard, series, event.ts_ns, scale_ratio(v), false);
                 state.overlaps.entry(series).or_default().push(v);
             }
         }
@@ -337,28 +295,15 @@ impl QualityAggregator {
             if agree {
                 state.agree_true += 1;
             }
-            self.rolling.record_at(
-                event.shard,
-                AGREEMENT,
-                event.ts_ns,
-                scale_ratio(if agree { 1.0 } else { 0.0 }),
-                !agree,
-            );
         }
         for &(function, m) in &event.margins {
             if let Some(series) = margin_series(function) {
-                self.rolling
-                    .record_at(event.shard, series, event.ts_ns, scale_ratio(m), false);
                 state.margins.entry(series).or_default().push(m);
             }
         }
-        let n_bins = self.n_bins;
         for (function, scores) in &event.scores {
             if let Some(series) = separability_series(function) {
-                let sketch = state
-                    .sketches
-                    .entry(series)
-                    .or_insert_with(|| ScoreSketch::new(n_bins));
+                let sketch = state.sketches.entry(series).or_default();
                 for &s in scores {
                     sketch.push(s);
                 }
@@ -372,13 +317,8 @@ impl QualityAggregator {
         self.dropped.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Events aggregated so far.
-    pub fn events(&self) -> u64 {
-        self.state.lock().events
-    }
-
-    /// Build the run-level summary at clock reading `at_ns`.
-    pub fn summary_at(&self, at_ns: u64) -> QualitySummary {
+    /// The run-level summary of every event so far.
+    pub fn summary(&self) -> QualitySummary {
         let state = self.state.lock();
         let overlaps = state
             .overlaps
@@ -415,7 +355,6 @@ impl QualityAggregator {
             })
             .collect();
         QualitySummary {
-            at_ns,
             sampled: state.events,
             dropped: self.dropped.load(Ordering::Relaxed),
             agreement_count: state.agree_total,
@@ -428,20 +367,6 @@ impl QualityAggregator {
             margins,
             functions,
         }
-    }
-
-    /// Summary at the rolling clock's current reading.
-    pub fn summary(&self) -> QualitySummary {
-        self.summary_at(self.rolling.clock().now_ns())
-    }
-
-    /// Drop all aggregated state (sketches, accumulators, drop count).
-    /// Part of the [`Registry::reset`](crate::Registry::reset)
-    /// contract; the rolling recorder is reset separately by the
-    /// registry.
-    pub fn reset(&self) {
-        *self.state.lock() = AggState::new();
-        self.dropped.store(0, Ordering::Relaxed);
     }
 }
 
@@ -485,8 +410,6 @@ pub struct FunctionScores {
 /// run aggregates of every quality signal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QualitySummary {
-    /// Clock reading the summary was taken at, nanoseconds.
-    pub at_ns: u64,
     /// Shadow-scored queries aggregated.
     pub sampled: u64,
     /// Shadow submissions dropped (queue full) before evaluation.
@@ -592,57 +515,32 @@ pub struct QualityBaseline {
     pub score_p50: Vec<QuantileBand>,
 }
 
-/// Slacks used when deriving a baseline from a healthy summary.
-#[derive(Debug, Clone)]
-pub struct BaselineTolerances {
-    /// Overlap band slack below/above the observed mean (warn).
-    pub overlap_warn: f64,
-    /// Overlap band slack below/above the observed mean (critical).
-    pub overlap_critical: f64,
-    /// Agreement slack below the observed rate (warn).
-    pub agreement_warn: f64,
-    /// Agreement slack below the observed rate (critical).
-    pub agreement_critical: f64,
-    /// Separability SD slack above the observed value (warn).
-    pub separability_warn: f64,
-    /// Separability SD slack above the observed value (critical).
-    pub separability_critical: f64,
-    /// Median shift tolerance (warn).
-    pub p50_warn: f64,
-    /// Median shift tolerance (critical).
-    pub p50_critical: f64,
-    /// Minimum sampled events for a judgeable run.
-    pub min_sampled: u64,
-}
-
-impl Default for BaselineTolerances {
-    fn default() -> Self {
-        Self {
-            overlap_warn: 0.10,
-            overlap_critical: 0.20,
-            agreement_warn: 0.10,
-            agreement_critical: 0.25,
-            separability_warn: 2.0,
-            separability_critical: 5.0,
-            p50_warn: 0.10,
-            p50_critical: 0.20,
-            min_sampled: 8,
-        }
-    }
-}
+// Slacks of a baseline derived from a healthy run: overlap bands
+// around the observed mean, agreement floors below the observed rate,
+// separability-SD ceilings above the observed SD, median-shift
+// tolerances, and the sample count below which a run is not judged.
+const OVERLAP_WARN: f64 = 0.10;
+const OVERLAP_CRITICAL: f64 = 0.20;
+const AGREEMENT_WARN: f64 = 0.10;
+const AGREEMENT_CRITICAL: f64 = 0.25;
+const SEPARABILITY_WARN: f64 = 2.0;
+const SEPARABILITY_CRITICAL: f64 = 5.0;
+const P50_WARN: f64 = 0.10;
+const P50_CRITICAL: f64 = 0.20;
+const MIN_SAMPLED: u64 = 8;
 
 impl QualityBaseline {
     /// Derive a baseline from a healthy run's summary.
-    pub fn from_summary(summary: &QualitySummary, n_bins: usize, tol: &BaselineTolerances) -> Self {
+    pub fn from_summary(summary: &QualitySummary) -> Self {
         let overlap = summary
             .overlaps
             .iter()
             .map(|o| OverlapBand {
                 series: o.series.clone(),
-                min_warn: (o.mean - tol.overlap_warn).max(0.0),
-                min_critical: (o.mean - tol.overlap_critical).max(0.0),
-                max_warn: (o.mean + tol.overlap_warn).min(1.0),
-                max_critical: (o.mean + tol.overlap_critical).min(1.0),
+                min_warn: (o.mean - OVERLAP_WARN).max(0.0),
+                min_critical: (o.mean - OVERLAP_CRITICAL).max(0.0),
+                max_warn: (o.mean + OVERLAP_WARN).min(1.0),
+                max_critical: (o.mean + OVERLAP_CRITICAL).min(1.0),
             })
             .collect();
         let separability = summary
@@ -650,8 +548,8 @@ impl QualityBaseline {
             .iter()
             .map(|f| SeparabilityBound {
                 series: f.series.clone(),
-                max_sd_warn: f.separability_sd + tol.separability_warn,
-                max_sd_critical: f.separability_sd + tol.separability_critical,
+                max_sd_warn: f.separability_sd + SEPARABILITY_WARN,
+                max_sd_critical: f.separability_sd + SEPARABILITY_CRITICAL,
             })
             .collect();
         let score_p50 = summary
@@ -660,18 +558,18 @@ impl QualityBaseline {
             .map(|f| QuantileBand {
                 series: f.series.clone(),
                 baseline_p50: f.p50,
-                warn_shift: tol.p50_warn,
-                critical_shift: tol.p50_critical,
+                warn_shift: P50_WARN,
+                critical_shift: P50_CRITICAL,
             })
             .collect();
         Self {
             magic: BASELINE_MAGIC.to_string(),
             version: BASELINE_VERSION,
             series: all_series().iter().map(|s| s.to_string()).collect(),
-            n_bins,
-            min_sampled: tol.min_sampled,
-            agreement_min_warn: (summary.agreement_rate - tol.agreement_warn).max(0.0),
-            agreement_min_critical: (summary.agreement_rate - tol.agreement_critical).max(0.0),
+            n_bins: SKETCH_BINS,
+            min_sampled: MIN_SAMPLED,
+            agreement_min_warn: (summary.agreement_rate - AGREEMENT_WARN).max(0.0),
+            agreement_min_critical: (summary.agreement_rate - AGREEMENT_CRITICAL).max(0.0),
             overlap,
             separability,
             score_p50,
@@ -717,11 +615,7 @@ impl QualityBaseline {
                 status: SloStatus::Warn,
             });
             let status = worst_of(&checks);
-            return QualityDriftReport {
-                at_ns: summary.at_ns,
-                checks,
-                status,
-            };
+            return QualityDriftReport { checks, status };
         }
         for band in &self.overlap {
             match summary.overlap(&band.series) {
@@ -819,11 +713,7 @@ impl QualityBaseline {
             }
         }
         let status = worst_of(&checks);
-        QualityDriftReport {
-            at_ns: summary.at_ns,
-            checks,
-            status,
-        }
+        QualityDriftReport { checks, status }
     }
 }
 
@@ -872,8 +762,6 @@ pub struct DriftCheck {
 /// Every drift check from one evaluation, plus the worst verdict.
 #[derive(Debug, Clone)]
 pub struct QualityDriftReport {
-    /// Clock reading of the evaluated summary.
-    pub at_ns: u64,
     /// One entry per band, baseline order.
     pub checks: Vec<DriftCheck>,
     /// Worst verdict across checks.
@@ -905,7 +793,6 @@ impl QualityDriftReport {
             })
             .collect();
         Value::Map(vec![
-            ("at_ns".to_string(), Value::UInt(self.at_ns)),
             (
                 "status".to_string(),
                 Value::Str(status_name(self.status).to_string()),
@@ -916,8 +803,8 @@ impl QualityDriftReport {
 }
 
 /// Summary + optional drift verdict, rendered as JSON or markdown —
-/// the payload of `litsearch quality --report` and the `--quality`
-/// load reports.
+/// the payload of `litsearch quality --report`, of a server's
+/// `/quality`, and of `litsearch top --quality N`'s panel.
 #[derive(Debug, Clone)]
 pub struct QualityReport {
     /// The run-level aggregates.
@@ -957,7 +844,6 @@ impl QualityReport {
             })
             .collect();
         let mut fields = vec![
-            ("at_ns".to_string(), Value::UInt(s.at_ns)),
             ("sampled".to_string(), Value::UInt(s.sampled)),
             ("dropped".to_string(), Value::UInt(s.dropped)),
             (
@@ -1042,24 +928,9 @@ fn series_mean_value(m: &SeriesMean) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ManualClock};
-    use crate::rolling::{RollingConfig, SECOND_NS};
 
-    fn recorder(shards: usize) -> Arc<RollingRecorder> {
-        Arc::new(RollingRecorder::new(
-            RollingConfig {
-                bucket_secs: 1,
-                window_secs: 120,
-                shards,
-            },
-            Arc::new(ManualClock::new(0)) as Arc<dyn Clock>,
-        ))
-    }
-
-    fn event(shard: usize, ts_ns: u64, agree: bool, overlap: f64) -> QualityEvent {
+    fn event(agree: bool, overlap: f64) -> QualityEvent {
         QualityEvent {
-            shard,
-            ts_ns,
             overlaps: vec![
                 ("citation", "text", overlap),
                 ("citation", "pattern", 0.5),
@@ -1075,23 +946,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn aggregator_feeds_rolling_series_and_summary() {
-        let rec = recorder(2);
-        let agg = QualityAggregator::new(Arc::clone(&rec), 10);
-        for i in 0..10u64 {
-            agg.record(&event((i % 2) as usize, i * SECOND_NS, i % 5 != 0, 0.6));
+    fn aggregate(events: impl IntoIterator<Item = QualityEvent>) -> QualitySummary {
+        let agg = QualityAggregator::new();
+        for e in events {
+            agg.record(&e);
         }
-        let stats = rec
-            .window_at(OVERLAP_CITATION_TEXT, 60, 10 * SECOND_NS)
-            .expect("overlap series recorded");
-        assert_eq!(stats.count, 10);
-        let agreement = rec
-            .window_at(AGREEMENT, 60, 10 * SECOND_NS)
-            .expect("agreement series recorded");
-        assert_eq!(agreement.errors, 2, "disagreements carried as errors");
+        agg.summary()
+    }
 
-        let summary = agg.summary_at(10 * SECOND_NS);
+    #[test]
+    fn aggregator_folds_events_into_the_summary() {
+        let summary = aggregate((0..10u64).map(|i| event(i % 5 != 0, 0.6)));
         assert_eq!(summary.sampled, 10);
         assert_eq!(summary.agreement_count, 10);
         assert!((summary.agreement_rate - 0.8).abs() < 1e-12);
@@ -1105,26 +970,10 @@ mod tests {
     #[test]
     fn summary_is_arrival_order_independent() {
         let events: Vec<QualityEvent> = (0..20u64)
-            .map(|i| {
-                event(
-                    (i % 4) as usize,
-                    i * SECOND_NS,
-                    i % 3 == 0,
-                    (i % 10) as f64 / 10.0,
-                )
-            })
+            .map(|i| event(i % 3 == 0, (i % 10) as f64 / 10.0))
             .collect();
-        let rec_a = recorder(4);
-        let agg_a = QualityAggregator::new(rec_a, 10);
-        for e in &events {
-            agg_a.record(e);
-        }
-        let rec_b = recorder(4);
-        let agg_b = QualityAggregator::new(rec_b, 10);
-        for e in events.iter().rev() {
-            agg_b.record(e);
-        }
-        let (a, b) = (agg_a.summary_at(0), agg_b.summary_at(0));
+        let a = aggregate(events.iter().cloned());
+        let b = aggregate(events.into_iter().rev());
         // Byte-stable: the rendered reports agree exactly.
         let ra = QualityReport {
             summary: a,
@@ -1139,28 +988,35 @@ mod tests {
 
     #[test]
     fn sketch_quantiles_come_from_bins() {
-        let mut sk = ScoreSketch::new(10);
-        for i in 0..100 {
-            sk.push(i as f64 / 100.0);
+        let scores: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
+        let mut sk = ScoreSketch::default();
+        for &s in &scores {
+            sk.push(s);
         }
         assert_eq!(sk.count(), 100);
         assert!((sk.quantile(0.5) - 0.45).abs() < 1e-12, "bin midpoint");
         assert!((sk.quantile(0.0) - 0.05).abs() < 1e-12);
         assert!((sk.quantile(1.0) - 0.95).abs() < 1e-12);
         assert!(sk.separability_sd() < 1e-9, "uniform scores separate");
+        // The sketch's SD is the figures' statistic over the same scores.
+        let skewed = [0.0, 0.05, 0.15, 0.15, 0.95, 1.0, 1.5, -0.5];
+        let mut sk = ScoreSketch::default();
+        for &s in &skewed {
+            sk.push(s);
+        }
+        assert_eq!(
+            sk.separability_sd().to_bits(),
+            eval::separability_sd(&skewed, SKETCH_BINS).to_bits()
+        );
     }
 
     #[test]
     fn baseline_round_trips_and_judges_itself_ok() {
-        let rec = recorder(1);
-        let agg = QualityAggregator::new(rec, 10);
-        for i in 0..10u64 {
-            agg.record(&event(0, i * SECOND_NS, true, 0.6));
-        }
-        let summary = agg.summary_at(0);
-        let baseline = QualityBaseline::from_summary(&summary, 10, &BaselineTolerances::default());
+        let summary = aggregate((0..10).map(|_| event(true, 0.6)));
+        let baseline = QualityBaseline::from_summary(&summary);
         let parsed = QualityBaseline::from_json(&baseline.to_json()).unwrap();
         assert_eq!(parsed.series.len(), all_series().len());
+        assert_eq!(parsed.n_bins, SKETCH_BINS);
         let report = parsed.evaluate(&summary);
         assert_eq!(report.status, SloStatus::Ok, "healthy run judges ok");
         assert!(!report.has_hard_violation());
@@ -1168,23 +1024,13 @@ mod tests {
 
     #[test]
     fn drift_fires_on_overlap_collapse() {
-        let rec = recorder(1);
-        let agg = QualityAggregator::new(Arc::clone(&rec), 10);
-        for i in 0..10u64 {
-            agg.record(&event(0, i * SECOND_NS, true, 0.5));
-        }
-        let healthy = agg.summary_at(0);
-        let baseline = QualityBaseline::from_summary(&healthy, 10, &BaselineTolerances::default());
+        let healthy = aggregate((0..10).map(|_| event(true, 0.5)));
+        let baseline = QualityBaseline::from_summary(&healthy);
         assert_eq!(baseline.evaluate(&healthy).status, SloStatus::Ok);
 
         // A second run where the functions collapse into one ranking:
         // overlap 1.0 blows past max_critical = 0.7.
-        let rec2 = recorder(1);
-        let agg2 = QualityAggregator::new(rec2, 10);
-        for i in 0..10u64 {
-            agg2.record(&event(0, i * SECOND_NS, true, 1.0));
-        }
-        let drifted = baseline.evaluate(&agg2.summary_at(0));
+        let drifted = baseline.evaluate(&aggregate((0..10).map(|_| event(true, 1.0))));
         assert_eq!(drifted.status, SloStatus::Critical);
         assert!(drifted.has_hard_violation());
         assert!(drifted
@@ -1195,13 +1041,8 @@ mod tests {
 
     #[test]
     fn missing_series_is_a_hard_violation() {
-        let rec = recorder(1);
-        let agg = QualityAggregator::new(rec, 10);
-        for i in 0..10u64 {
-            agg.record(&event(0, i * SECOND_NS, true, 0.5));
-        }
-        let healthy = agg.summary_at(0);
-        let baseline = QualityBaseline::from_summary(&healthy, 10, &BaselineTolerances::default());
+        let healthy = aggregate((0..10).map(|_| event(true, 0.5)));
+        let baseline = QualityBaseline::from_summary(&healthy);
         // A summary that stopped carrying the citation sketch entirely.
         let mut gutted = healthy.clone();
         gutted
@@ -1217,12 +1058,8 @@ mod tests {
 
     #[test]
     fn too_few_samples_is_a_lone_warn() {
-        let rec = recorder(1);
-        let agg = QualityAggregator::new(rec, 10);
-        agg.record(&event(0, 0, true, 0.5));
-        let summary = agg.summary_at(0);
-        let mut baseline =
-            QualityBaseline::from_summary(&summary, 10, &BaselineTolerances::default());
+        let summary = aggregate([event(true, 0.5)]);
+        let mut baseline = QualityBaseline::from_summary(&summary);
         baseline.min_sampled = 100;
         let report = baseline.evaluate(&summary);
         assert_eq!(report.status, SloStatus::Warn);
@@ -1231,27 +1068,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_aggregated_state() {
-        let rec = recorder(1);
-        let agg = QualityAggregator::new(rec, 10);
-        agg.record(&event(0, 0, true, 0.5));
-        agg.add_dropped(3);
-        assert_eq!(agg.events(), 1);
-        agg.reset();
-        let summary = agg.summary_at(0);
-        assert_eq!(summary.sampled, 0);
-        assert_eq!(summary.dropped, 0);
-        assert!(summary.overlaps.is_empty());
-        assert!(summary.functions.is_empty());
-    }
-
-    #[test]
     fn bad_baseline_documents_are_rejected() {
         assert!(QualityBaseline::from_json("{").is_err());
-        let rec = recorder(1);
-        let agg = QualityAggregator::new(rec, 10);
-        let baseline =
-            QualityBaseline::from_summary(&agg.summary_at(0), 10, &BaselineTolerances::default());
+        let baseline = QualityBaseline::from_summary(&QualityAggregator::new().summary());
         let mut wrong_magic = baseline.clone();
         wrong_magic.magic = "something-else".to_string();
         assert!(QualityBaseline::from_json(&wrong_magic.to_json())

@@ -244,3 +244,46 @@ fn disabled_spans_record_nothing() {
     obs::enable();
     assert!(obs::snapshot().span("disabledtest.never").is_none());
 }
+
+/// A muted thread records nothing through the hooks serving code
+/// uses; its background span reaches the span table and never the
+/// rolling windows. Other threads keep recording.
+#[test]
+fn muted_thread_records_only_its_background_span_outside_the_windows() {
+    let _guard = GLOBAL_STATE.lock().unwrap();
+    use obs::{Clock, ManualClock, RollingConfig, RollingRecorder};
+    use std::sync::Arc;
+
+    obs::enable();
+    let rolling = Arc::new(RollingRecorder::new(
+        RollingConfig::default(),
+        Arc::new(ManualClock::new(0)) as Arc<dyn Clock>,
+    ));
+    obs::attach_rolling(rolling.clone());
+    std::thread::spawn(|| {
+        obs::mute_thread();
+        let _work = obs::background_span("mutetest.background");
+        let _rerank = obs::span("mutetest.serving");
+        obs::counter("mutetest.counter", 1);
+        obs::gauge("mutetest.gauge", 1.0);
+        obs::observe_ns("mutetest.histogram", 1);
+    })
+    .join()
+    .unwrap();
+    {
+        let _served = obs::span("mutetest.serving");
+    }
+
+    let snap = obs::snapshot();
+    assert_eq!(snap.span("mutetest.background").map(|s| s.count), Some(1));
+    assert_eq!(snap.span("mutetest.serving").map(|s| s.count), Some(1));
+    assert!(snap.counter("mutetest.counter").is_none());
+    assert!(snap.gauges.iter().all(|g| g.name != "mutetest.gauge"));
+    assert!(snap.histogram("mutetest.histogram").is_none());
+    assert!(rolling.window("mutetest.background", 60).is_none());
+    assert_eq!(
+        rolling.window("mutetest.serving", 60).map(|w| w.count),
+        Some(1)
+    );
+    obs::global().detach_rolling();
+}

@@ -58,8 +58,9 @@ pub struct AppState {
     /// Monotonic sequence of served search requests (also the shadow
     /// sampling sequence, so sampling is deterministic per request).
     pub served_seq: Arc<AtomicU64>,
-    /// Optional ranking-quality shadow scorer (PR 6). `QualityShadow`
-    /// lives in a lint-boundary file, so submitting from here is fine.
+    /// Optional ranking-quality shadow scorer, fed every served search
+    /// and read by `/quality`. `QualityShadow` lives in a lint-boundary
+    /// file, so submitting from here is fine.
     pub shadow: Option<Arc<context_search::QualityShadow>>,
 }
 
@@ -69,7 +70,7 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
         ("POST", "/v1/search") => handle_search(state, req),
         ("GET", "/healthz") => handle_healthz(state),
         ("GET", "/metrics") => handle_metrics(),
-        ("GET", "/quality") => handle_quality(),
+        ("GET", "/quality") => handle_quality(state),
         (_, "/v1/search") | (_, "/healthz") | (_, "/metrics") | (_, "/quality") => {
             Response::json_error(405, "method not allowed for this endpoint")
         }
@@ -133,10 +134,7 @@ pub fn handle_search(state: &AppState, req: &Request) -> Response {
         Ok((results, _stats)) => {
             let seq = state.served_seq.fetch_add(1, Ordering::Relaxed);
             if let Some(shadow) = &state.shadow {
-                let rolling = shadow.aggregator().rolling();
-                let shard = (seq as usize) % rolling.n_shards();
-                let ts_ns = rolling.clock().now_ns();
-                shadow.observe_seq(seq, query, shard, ts_ns);
+                shadow.observe(seq, query);
             }
             Response::json(200, encode_results(&results))
         }
@@ -165,11 +163,13 @@ pub fn handle_metrics() -> Response {
     Response::json(200, obs::snapshot_json())
 }
 
-/// `GET /quality`: the PR 6 ranking-quality summary, when a shadow
-/// aggregator is attached (404 otherwise — sampling is off).
-pub fn handle_quality() -> Response {
-    match obs::quality_summary_json() {
-        Some(body) => Response::json(200, body),
+/// `GET /quality`: the ranking-quality summary of the server's own
+/// shadow scorer (404 when it has none — sampling is off).
+pub fn handle_quality(state: &AppState) -> Response {
+    match &state.shadow {
+        // Type-qualified, so the lint's name-based call graph resolves
+        // it to obs rather than to every `to_json` in the workspace.
+        Some(shadow) => Response::json(200, obs::QualityReport::to_json(&shadow.report())),
         None => Response::json_error(404, "quality shadow sampling is not enabled"),
     }
 }

@@ -10,20 +10,19 @@
 //! * [`sparse`] — sparse term-weight vectors with cosine similarity,
 //! * [`tfidf`] — corpus-level TF-IDF weighting (Salton's vector model,
 //!   the paper's reference \[6\]),
-//! * [`index`] — an inverted index over documents,
-//! * [`search`] — a TF-IDF cosine keyword search engine (the paper's
-//!   "standard keyword-based search" baseline),
+//! * [`index`] — an inverted index over documents, whose cosine
+//!   [`InvertedIndex::search`] is the paper's "standard keyword-based
+//!   search" baseline,
 //! * [`phrase`] — n-gram/phrase counting used by the apriori-style
 //!   significant-term mining of the pattern score function.
 //!
 //! The pipeline composes as: raw text → [`analyze`] (tokenize + stopword
 //! filter + stem) → intern via [`vocab::Vocabulary`] → count into
 //! [`sparse::SparseVector`]s → weight with [`tfidf::TfIdfModel`] → search
-//! via [`search::SearchEngine`].
+//! via [`index::InvertedIndex`].
 
 pub mod index;
 pub mod phrase;
-pub mod search;
 pub mod snippet;
 pub mod sparse;
 pub mod stem;
@@ -33,7 +32,6 @@ pub mod tokenize;
 pub mod vocab;
 
 pub use index::{CandidateScratch, InvertedIndex};
-pub use search::{SearchEngine, SearchHit};
 pub use sparse::SparseVector;
 pub use tfidf::TfIdfModel;
 pub use vocab::{TermId, Vocabulary};

@@ -363,10 +363,7 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
     let quality = serving.and_then(|serving| {
         let shadow = serving.shadow.clone();
         serving.drain();
-        shadow.map(|shadow| obs::QualityReport {
-            summary: shadow.aggregator().summary(),
-            drift: None,
-        })
+        shadow.map(|shadow| shadow.report())
     });
     let mut report = harness.report();
     report.quality = quality;
@@ -419,17 +416,10 @@ fn cmd_quality(flags: &Flags) -> Result<(), String> {
         limit: flags.get_usize("limit", 10)?,
         ..Default::default()
     };
-    let n_bins = 10;
 
     let (searcher, queries) = dashboard_workload(flags, seed)?;
-    let quality = bench::load::quality_gate(
-        &searcher,
-        &queries,
-        n_queries,
-        &shadow,
-        n_bins,
-        baseline.as_ref(),
-    );
+    let quality =
+        bench::load::quality_gate(&searcher, &queries, n_queries, &shadow, baseline.as_ref());
 
     let rendered = match report_kind {
         "json" => quality.to_json(),
@@ -443,11 +433,7 @@ fn cmd_quality(flags: &Flags) -> Result<(), String> {
         None => print!("{rendered}"),
     }
     if let Some(path) = flags.get("write-baseline") {
-        let derived = obs::QualityBaseline::from_summary(
-            &quality.summary,
-            n_bins,
-            &obs::BaselineTolerances::default(),
-        );
+        let derived = obs::QualityBaseline::from_summary(&quality.summary);
         std::fs::write(path, derived.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("quality baseline: {path}");
     }
@@ -530,17 +516,13 @@ impl ServeSetup {
         ));
         obs::attach_slow_log(Arc::clone(&slowlog));
         if self.quality_every > 0 {
-            let aggregator = Arc::new(obs::QualityAggregator::new(Arc::clone(&rolling), 10));
-            obs::attach_quality(Arc::clone(&aggregator));
             config.shadow = Some(Arc::new(litsearch::context_search::QualityShadow::spawn(
                 searcher.clone(),
                 litsearch::context_search::ShadowConfig {
                     sample_every: self.quality_every,
                     kind: config.defaults.kind,
                     limit: config.defaults.limit,
-                    ..Default::default()
                 },
-                aggregator,
             )));
         }
         let shadow = config.shadow.clone();

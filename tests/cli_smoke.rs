@@ -545,16 +545,35 @@ fn top_once_json_emits_the_dashboard_report() {
     assert!(v.get("quality").is_none(), "{v:?}");
 
     // --quality N adds the ranking-quality block from the server's
-    // shadow scorer: sampled queries, pairwise overlaps, and
+    // shadow scorer: sampled queries, pairwise overlaps, margins and
     // per-function score distributions. The shadow queue holds more
-    // than the run's 10 samples, so none drop.
+    // than the run's 10 samples, so none drop. Its re-ranks stay out
+    // of the serving rows, and its signals out of the latency windows.
     let (out, v) = top_json(&["--threads", "2", "--queries", "20", "--quality", "4"]);
     assert!(
         out.status.success(),
         "top --quality: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert_eq!(window_count(&v, "client.request"), Some(40.0), "{v:?}");
+    assert_eq!(window_count(&v, "engine.search"), Some(40.0), "{v:?}");
+    for series in ["serve.http.exec", "serve.query", "search.rank"] {
+        assert!(
+            window_count(&v, series).is_some_and(|n| n >= 1.0),
+            "no server row {series}: {v:?}"
+        );
+    }
+    let windows = v.get("windows").and_then(|w| w.as_array()).unwrap();
+    for w in windows {
+        let count = w.get("count").and_then(|c| c.as_f64()).unwrap();
+        assert!(count <= 40.0, "a row counts more than 40 requests: {w:?}");
+        let name = w.get("name").and_then(|n| n.as_str()).unwrap();
+        assert!(!name.starts_with("quality."), "a quality row: {w:?}");
+    }
     let quality = v.get("quality").expect("quality panel present");
+    for field in ["sampled", "overlaps", "margins", "functions"] {
+        assert!(quality.get(field).is_some(), "no {field}: {v:?}");
+    }
     let sampled = quality.get("sampled").and_then(|s| s.as_f64()).unwrap();
     assert!(sampled >= 1.0, "no shadow-scored queries: {v:?}");
     let dropped = quality.get("dropped").and_then(|d| d.as_f64()).unwrap();

@@ -1,6 +1,6 @@
 //! End-to-end tests of the network serving subsystem (`crates/serve`).
 //!
-//! Three contracts from the PR:
+//! The contracts:
 //! 1. **Wire byte-identity**: the `/v1/search` response body over a real
 //!    TCP connection is byte-for-byte what [`serve::encode_results`]
 //!    produces for the equivalent in-process [`Searcher::query`] call,
@@ -12,6 +12,8 @@
 //!    SIGTERM, leaving the port closed.
 //! 4. **Keep-alive deadlines**: time a keep-alive connection sits idle
 //!    between requests does not spend the next request's deadline.
+//! 5. **`/quality`**: the server answers it from the shadow scorer it
+//!    was started with, and 404 when it has none.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,7 +21,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use litsearch::context_search::{ContextSetKind, ScoreFunction};
+use litsearch::context_search::{ContextSetKind, QualityShadow, ScoreFunction, ShadowConfig};
 use litsearch::demo::{snapshot, Scale};
 use litsearch::serve::{self, SearchDefaults, ServerConfig};
 
@@ -261,6 +263,71 @@ fn keep_alive_idle_time_does_not_spend_the_next_deadline() {
 
     let summary = handle.await_drained();
     assert_eq!(summary.responses_ok, 8);
+}
+
+/// `GET path` on a keep-alive connection.
+fn get(stream: &mut TcpStream, buf: &mut Vec<u8>, path: &str) -> (u16, Vec<u8>) {
+    stream
+        .write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+        .expect("write request");
+    read_response(stream, buf)
+}
+
+#[test]
+fn quality_endpoint_reads_the_servers_own_scorer() {
+    let snap = snapshot(Scale::Tiny, 21);
+    // Nothing is attached to the global registry: the summary can only
+    // come from the scorer the server was started with.
+    let shadow = Arc::new(QualityShadow::spawn(
+        snap.searcher(),
+        ShadowConfig {
+            sample_every: 1,
+            ..Default::default()
+        },
+    ));
+    let handle = serve::start(
+        snap.searcher(),
+        ServerConfig {
+            workers: 2,
+            deadline_ns: 0,
+            shadow: Some(Arc::clone(&shadow)),
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut buf = Vec::new();
+    for query in ["biological process", "binding", "molecular function"] {
+        let request = search_request(query, ContextSetKind::PatternBased, ScoreFunction::Pattern);
+        stream.write_all(&request).expect("write request");
+        assert_eq!(read_response(&mut stream, &mut buf).0, 200, "{query:?}");
+    }
+    // Every answered search was handed to the scorer before its
+    // response went out; joining the worker scores them all.
+    shadow.finish();
+    let (status, body) = get(&mut stream, &mut buf, "/quality");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let report: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).expect("UTF-8")).expect("JSON");
+    assert!(
+        report["sampled"].as_f64().expect("sampled") >= 1.0,
+        "{report:?}"
+    );
+    drop(stream);
+    handle.await_drained();
+
+    // Without a scorer there is no quality summary to serve.
+    let handle = serve::start(snap.searcher(), ServerConfig::default()).expect("server starts");
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    assert_eq!(get(&mut stream, &mut Vec::new(), "/quality").0, 404);
+    drop(stream);
+    handle.await_drained();
 }
 
 extern "C" {
