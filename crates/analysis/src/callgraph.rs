@@ -14,8 +14,7 @@
 //!   module path ends with the written qualifier segments.
 //! - `recv.m(…)` — every method named `m` anywhere in the workspace.
 //!   This is the main source of false edges; the boundary stop-list in
-//!   this module is sized for it (e.g. `.take(…)` on an iterator
-//!   would otherwise reach `Slot::take` in `plan.rs`).
+//!   this module is sized for it.
 //! - `f(…)` (bare lowercase) — every free function named `f`.
 //!   Uppercase bare calls are tuple-struct constructors: no edge.
 //! - `name!(…)` — macros never create edges; panicking macros are
@@ -37,8 +36,6 @@
 //!   linked into serving.
 //! - `shadow.rs` — the off-hot-path shadow sampler (its locks are the
 //!   sanctioned sampling window).
-//! - `plan.rs` — the prepare-time stage executor; serving only shares
-//!   method *names* with it (`take`, `run`), not calls.
 
 use crate::engine::Workspace;
 use crate::items::{extract_items, FnItem};
@@ -50,10 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const BOUNDARY_PREFIXES: &[&str] = &["crates/obs/", "crates/bench/", "crates/analysis/"];
 
 /// Single files reachability must not enter.
-pub const BOUNDARY_FILES: &[&str] = &[
-    "crates/core/src/search/shadow.rs",
-    "crates/core/src/plan.rs",
-];
+pub const BOUNDARY_FILES: &[&str] = &["crates/core/src/search/shadow.rs"];
 
 /// True when `path` is on the stop-list.
 pub fn is_boundary_path(path: &str) -> bool {
@@ -631,7 +625,7 @@ mod tests {
     fn boundary_paths_are_marked() {
         let g = graph(&[
             ("crates/obs/src/lib.rs", "pub fn span() {}\n"),
-            ("crates/core/src/plan.rs", "pub fn run_plan() {}\n"),
+            ("crates/core/src/search/shadow.rs", "pub fn observe() {}\n"),
             ("crates/core/src/search/serve.rs", "pub fn query() {}\n"),
         ]);
         let by_path = |p: &str| {
@@ -642,7 +636,7 @@ mod tests {
                 .unwrap()
         };
         assert!(by_path("crates/obs/src/lib.rs"));
-        assert!(by_path("crates/core/src/plan.rs"));
+        assert!(by_path("crates/core/src/search/shadow.rs"));
         assert!(!by_path("crates/core/src/search/serve.rs"));
     }
 

@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn literal_anywhere_in_source_counts() {
         // The literal need not be at an obs::span call site — stage
-        // names travel through Plan::stage, CLI tables, etc.
+        // names travel through match arms, CLI tables, etc.
         let w = ws(
             r#"const STAGES: &[&str] = &["prepare.index"];"#,
             r#"{"spans": [{"name": "prepare.index"}]}"#,

@@ -113,9 +113,7 @@ pub fn quality_gate(
     if !queries.is_empty() {
         for seq in (every..=n_queries).step_by(every as usize) {
             let query = &queries[((seq - 1) % queries.len() as u64) as usize];
-            if let Some(event) = shadow_evaluate(searcher, shadow, query) {
-                aggregator.record(&event);
-            }
+            aggregator.record(&shadow_evaluate(searcher, shadow, query));
         }
     }
     let summary = aggregator.summary();

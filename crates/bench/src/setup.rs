@@ -156,11 +156,11 @@ impl Setup {
             t0.elapsed()
         ));
 
-        // The whole offline phase runs as one prepare plan: indexes,
-        // both paper sets, pattern mining, and the five standard
-        // prestige tables (including the Fig 5.3 representative-injected
-        // text-on-pattern pair), with independent stages scheduled
-        // concurrently under `build_threads`.
+        // The whole offline phase runs as one prepare: indexes, both
+        // paper sets, pattern mining, and the five standard prestige
+        // tables (including the Fig 5.3 representative-injected
+        // text-on-pattern pair), stage by stage, each parallel across
+        // contexts on `build_threads` threads.
         let t = Instant::now();
         let snapshot = EngineSnapshot::prepare(onto, corp, EngineConfig::default());
         let text_sets = snapshot.sets(ContextSetKind::TextBased).clone();

@@ -76,7 +76,7 @@ pub fn patterns_by_context(
     }
     let positions = WordPositions::build(corpus);
     let contexts: Vec<ContextId> = ontology.term_ids().collect();
-    let built = crate::parallel_map(config.threads, &contexts, |&context| {
+    let built = crate::parallel_map(config.build_threads, &contexts, |&context| {
         let name_tokens = &index.term_name_tokens[context.index()];
         let training: Vec<Vec<TermId>> = corpus
             .evidence_for(context)
@@ -227,7 +227,7 @@ pub fn build_pattern_sets(
     // Direct assignment: every hit strong enough under the middle-only
     // matcher.
     let direct: Vec<(ContextId, Vec<PaperId>)> =
-        crate::parallel_map(config.threads, &contexts, |&context| {
+        crate::parallel_map(config.build_threads, &contexts, |&context| {
             let mut members: Vec<PaperId> = patterns
                 .with_hits(context)
                 .flat_map(|(_, hits)| hits)

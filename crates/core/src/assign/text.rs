@@ -34,7 +34,7 @@ pub fn build_text_sets(
 
     let threshold = config.assign.text_threshold;
     let results: Vec<(ContextId, PaperId, Vec<PaperId>)> =
-        crate::parallel_map(config.threads, &candidates, |&context| {
+        crate::parallel_map(config.build_threads, &candidates, |&context| {
             let evidence = corpus.evidence_for(context);
             let rep = pick_representative(index, evidence);
             let rep_vec = &index.doc_vectors[rep.index()];

@@ -117,13 +117,10 @@ pub struct EngineConfig {
     pub relevancy: RelevancyWeights,
     /// Query-time context selection.
     pub selection: SelectionConfig,
-    /// Worker threads for per-context computations (0 ⇒ available
-    /// parallelism).
-    pub threads: usize,
-    /// Worker threads for the prepare-phase stage DAG
-    /// ([`crate::EngineSnapshot::prepare`]): how many independent build
-    /// stages may run concurrently (0 ⇒ available parallelism, 1 ⇒
-    /// deterministic sequential order). Result-identical at any value.
+    /// Worker threads for prepare's per-context computations
+    /// ([`crate::EngineSnapshot::prepare`] runs its stages in order, each
+    /// parallel across contexts): 0 ⇒ available parallelism, 1 ⇒ one
+    /// thread. Result-identical at any value.
     pub build_threads: usize,
 }
 

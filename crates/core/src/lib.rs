@@ -22,8 +22,8 @@
 //!   lock-free [`Searcher`],
 //! * [`ac_answer`] — the §2 AC(artificially-constructed)-answer sets
 //!   used for precision evaluation,
-//! * [`plan`] + [`snapshot`] — the prepare/serve architecture: a
-//!   stage-DAG executor that builds an immutable [`EngineSnapshot`]
+//! * [`snapshot`] — the prepare/serve architecture: prepare runs the
+//!   offline stages in order and builds an immutable [`EngineSnapshot`]
 //!   served lock-free by [`Searcher`] handles (with save/load in
 //!   [`persist`] for warm starts).
 //!
@@ -56,7 +56,6 @@ pub mod config;
 pub mod context;
 pub mod indexes;
 pub mod persist;
-pub mod plan;
 pub mod prestige;
 pub mod search;
 pub mod snapshot;

@@ -36,7 +36,7 @@ pub fn citation_prestige(
     // deterministic population for the parallel map.
     let contexts: Vec<ContextId> = sets.contexts().collect();
     let computed: Vec<(ContextId, Vec<(PaperId, f64)>)> =
-        crate::parallel_map(config.threads, &contexts, |&context| {
+        crate::parallel_map(config.build_threads, &contexts, |&context| {
             (context, context_pagerank(sets, graph, config, context))
         });
     PrestigeScores::new(
@@ -98,7 +98,7 @@ pub fn hits_citation_prestige(
 ) -> PrestigeScores {
     let contexts: Vec<ContextId> = sets.contexts().collect();
     let computed: Vec<(ContextId, Vec<(PaperId, f64)>)> =
-        crate::parallel_map(config.threads, &contexts, |&context| {
+        crate::parallel_map(config.build_threads, &contexts, |&context| {
             let members: Vec<u32> = sets.members(context).iter().map(|p| p.0).collect();
             let (sub, node_map) = graph.induced_subgraph(&members);
             let scores = hits(&sub, &HitsConfig::default());

@@ -54,7 +54,7 @@ pub fn weighted_citation_prestige(
 ) -> PrestigeScores {
     let contexts: Vec<ContextId> = sets.contexts().collect();
     let computed: Vec<(ContextId, Vec<(PaperId, f64)>)> =
-        crate::parallel_map(config.threads, &contexts, |&context| {
+        crate::parallel_map(config.build_threads, &contexts, |&context| {
             (
                 context,
                 context_weighted_pagerank(ontology, sets, graph, config, weights, context),

@@ -46,7 +46,7 @@ pub fn pattern_prestige(
         .filter(|c| !sets.inherited_from.contains_key(c))
         .collect();
     let computed: Vec<(ContextId, Vec<(PaperId, f64)>)> =
-        crate::parallel_map(config.threads, &own_contexts, |&context| {
+        crate::parallel_map(config.build_threads, &own_contexts, |&context| {
             (
                 context,
                 score_context(sets, corpus, patterns, &matcher, context),

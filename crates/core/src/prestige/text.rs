@@ -29,7 +29,7 @@ pub fn text_prestige(
         .filter(|c| sets.representatives.contains_key(c))
         .collect();
     let computed: Vec<(ContextId, Vec<(PaperId, f64)>)> =
-        crate::parallel_map(config.threads, &contexts, |&context| {
+        crate::parallel_map(config.build_threads, &contexts, |&context| {
             let rep = sets.representatives[&context];
             // Absolute similarities (already in [0, 1]): diffuse
             // upper-level contexts legitimately yield small scores — the

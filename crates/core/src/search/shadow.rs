@@ -61,8 +61,8 @@ impl Default for ShadowConfig {
     fn default() -> Self {
         Self {
             sample_every: 16,
-            // The pattern-based set is the one the default prepare plan
-            // equips with all three functions (§5's five tables).
+            // The pattern-based set is the one a default prepare equips
+            // with all three functions (§5's five tables).
             kind: ContextSetKind::PatternBased,
             limit: 50,
         }
@@ -90,9 +90,7 @@ impl QualityShadow {
         let worker = std::thread::spawn(move || {
             obs::mute_thread();
             while let Ok(query) = rx.recv() {
-                if let Some(event) = shadow_evaluate(&searcher, &config, &query) {
-                    agg.record(&event);
-                }
+                agg.record(&shadow_evaluate(&searcher, &config, &query));
             }
         });
         Self {
@@ -149,12 +147,9 @@ impl Drop for QualityShadow {
 /// the quality event: pairwise top-k% overlap between the rankings,
 /// winning-context agreement, top1−top2 margins, and the winning
 /// context's prestige score values per function (separability input).
-/// `None` when no prepared function produced results.
-pub fn shadow_evaluate(
-    searcher: &Searcher,
-    config: &ShadowConfig,
-    query: &str,
-) -> Option<QualityEvent> {
+/// A query no prepared function answers yields an event with no
+/// overlaps, margins or scores and no agreement: it is still a sample.
+pub fn shadow_evaluate(searcher: &Searcher, config: &ShadowConfig, query: &str) -> QualityEvent {
     let _span = obs::background_span(obs::quality::SHADOW_EVAL_SPAN);
     let sets = searcher.sets(config.kind);
 
@@ -182,10 +177,6 @@ pub fn shadow_evaluate(
         let ranking: Vec<(u32, f64)> = results.iter().map(|r| (r.paper.0, r.relevancy)).collect();
         ranked.push((function.name(), ranking, winner));
     }
-    if ranked.is_empty() {
-        return None;
-    }
-
     let mut overlaps = Vec::new();
     for i in 0..ranked.len() {
         for j in (i + 1)..ranked.len() {
@@ -199,12 +190,12 @@ pub fn shadow_evaluate(
         None
     };
 
-    Some(QualityEvent {
+    QualityEvent {
         overlaps,
         agreement,
         margins,
         scores,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -238,8 +229,7 @@ mod tests {
     fn shadow_evaluate_compares_all_prepared_functions() {
         let searcher = testbed_searcher();
         let config = ShadowConfig::default();
-        let event = shadow_evaluate(&searcher, &config, "biological process")
-            .expect("testbed queries produce results");
+        let event = shadow_evaluate(&searcher, &config, "biological process");
         // Default prepare has all three functions for the text-based
         // set: three pairwise overlaps, three margins, three sketches.
         assert_eq!(event.overlaps.len(), 3);
@@ -258,9 +248,19 @@ mod tests {
     fn shadow_evaluate_is_deterministic() {
         let searcher = testbed_searcher();
         let config = ShadowConfig::default();
-        let a = shadow_evaluate(&searcher, &config, "binding").unwrap();
-        let b = shadow_evaluate(&searcher, &config, "binding").unwrap();
+        let a = shadow_evaluate(&searcher, &config, "binding");
+        let b = shadow_evaluate(&searcher, &config, "binding");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn a_query_no_function_answers_is_an_empty_sample() {
+        let searcher = testbed_searcher();
+        let event = shadow_evaluate(&searcher, &ShadowConfig::default(), "zzz qqq xxx");
+        assert!(event.overlaps.is_empty());
+        assert!(event.margins.is_empty());
+        assert!(event.scores.is_empty());
+        assert_eq!(event.agreement, None);
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
     fn prestige_override_degrades_the_shadow_signal() {
         let searcher = testbed_searcher();
         let config = ShadowConfig::default();
-        let healthy = shadow_evaluate(&searcher, &config, "biological process").unwrap();
+        let healthy = shadow_evaluate(&searcher, &config, "biological process");
 
         // Flatten the citation function: every paper in every context
         // gets the same score. Separability collapses to the worst
@@ -351,8 +351,7 @@ mod tests {
         };
         let perturbed_searcher =
             searcher.with_prestige_override(config.kind, ScoreFunction::Citation, flat);
-        let perturbed =
-            shadow_evaluate(&perturbed_searcher, &config, "biological process").unwrap();
+        let perturbed = shadow_evaluate(&perturbed_searcher, &config, "biological process");
 
         let flat_scores = &perturbed
             .scores

@@ -1,28 +1,26 @@
 //! The immutable prepared artifact of the paradigm.
 //!
-//! [`EngineSnapshot::prepare`] runs the whole offline phase — corpus
-//! index, both §4 context paper sets, pattern mining, and every
-//! requested (paper set, score function) prestige table — as a
-//! [`Plan`](crate::plan::Plan) of explicitly-dependent stages, so
-//! independent work (text sets vs pattern mining, the per-pair prestige
-//! tables) runs concurrently under the `build_threads` knob of
-//! [`EngineConfig`]. The output is an `Arc<EngineSnapshot>`: immutable,
-//! shareable, and servable lock-free by any number of
-//! [`Searcher`](crate::Searcher) handles.
+//! [`EngineSnapshot::prepare`] runs the whole offline phase in order on
+//! the calling thread: corpus index, the text-based context sets,
+//! pattern mining and the pattern-based sets, then every requested
+//! (paper set, score function) prestige table and its hierarchy
+//! propagation. Each stage is parallel across contexts on up to
+//! `build_threads` threads of [`EngineConfig`]. The output is an
+//! `Arc<EngineSnapshot>`: immutable, shareable, and servable lock-free
+//! by any number of [`Searcher`](crate::Searcher) handles.
 //!
-//! Every stage is a pure function of its inputs, so the parallel
-//! schedule is result-identical to `build_threads == 1` (asserted by
-//! the tests below). The stage names double as `obs` span names
-//! (`prepare.index`, `prepare.prestige.pattern_citation`, …) under the
-//! `prepare.total` umbrella span, making the schedule visible in
-//! metrics snapshots and traces.
+//! Every per-context computation is a pure function of its inputs, so
+//! any thread count is result-identical to `build_threads == 1`
+//! (asserted by the tests below). Each stage runs under its own `obs`
+//! span (`prepare.index`, `prepare.prestige.pattern_citation`, …)
+//! nested in `prepare.total`, so the stages' times add up to the whole
+//! in metrics snapshots and traces.
 
 use crate::ac_answer::ac_answer_set;
 use crate::assign::{build_pattern_sets, build_text_sets, patterns_by_context, ContextPatterns};
 use crate::config::EngineConfig;
 use crate::context::{ContextPaperSets, ContextSetKind};
 use crate::indexes::CorpusIndex;
-use crate::plan::{Plan, Slot};
 use crate::prestige::citation_weighted::{weighted_citation_prestige, CrossContextWeights};
 use crate::prestige::{
     citation::citation_prestige, pattern::pattern_prestige, text::text_prestige, PrestigeScores,
@@ -33,7 +31,7 @@ use crate::search::serve::Searcher;
 use corpus::{Corpus, PaperId};
 use ontology::Ontology;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A (paper set, score function) prestige pair.
 pub type PrestigePair = (ContextSetKind, ScoreFunction);
@@ -114,7 +112,7 @@ pub struct EngineSnapshot {
     text_sets: ContextPaperSets,
     pattern_sets: ContextPaperSets,
     prestige: HashMap<PrestigePair, PrestigeScores>,
-    patterns: Option<Arc<ContextPatterns>>,
+    patterns: Option<ContextPatterns>,
 }
 
 impl std::fmt::Debug for EngineSnapshot {
@@ -131,12 +129,13 @@ impl std::fmt::Debug for EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Run the full prepare plan with the default five prestige tables.
+    /// Run prepare with the default five prestige tables.
     pub fn prepare(ontology: Ontology, corpus: Corpus, config: EngineConfig) -> Arc<Self> {
         Self::prepare_with(ontology, corpus, config, PrepareOptions::default())
     }
 
-    /// Run the prepare plan for an explicit set of prestige pairs.
+    /// Run prepare for an explicit set of prestige pairs: each stage in
+    /// order on the calling thread, under its own span.
     pub fn prepare_with(
         ontology: Ontology,
         corpus: Corpus,
@@ -154,155 +153,73 @@ impl EngineSnapshot {
                 pairs.push(p);
             }
         }
-
-        // Caller-owned write-once slots carry stage outputs: `OnceLock`
-        // where multiple later stages read, `Slot` for the raw→propagate
-        // handoff that needs to mutate.
-        let index_out: OnceLock<CorpusIndex> = OnceLock::new();
-        let text_sets_out: OnceLock<ContextPaperSets> = OnceLock::new();
-        let patterns_out: OnceLock<Arc<ContextPatterns>> = OnceLock::new();
-        let pattern_sets_out: OnceLock<ContextPaperSets> = OnceLock::new();
-        let raw: Vec<Slot<PrestigeScores>> = pairs.iter().map(|_| Slot::new()).collect();
-        let done: Vec<OnceLock<PrestigeScores>> = pairs.iter().map(|_| OnceLock::new()).collect();
-
-        fn set<T>(cell: &OnceLock<T>, value: T) {
-            assert!(cell.set(value).is_ok(), "stage output already set");
-        }
-
         let needs_patterns = pairs
             .iter()
             .any(|&(k, f)| k == ContextSetKind::PatternBased || f == ScoreFunction::Pattern);
 
-        let mut plan = Plan::new();
-        plan.stage("prepare.index", &[], || {
-            set(
-                &index_out,
-                CorpusIndex::build(&ontology, &corpus, &config.pagerank),
-            );
-        });
-        plan.stage("prepare.text_sets", &["prepare.index"], || {
-            let index = index_out.get().expect("dep ran");
-            set(
-                &text_sets_out,
-                build_text_sets(&ontology, &corpus, index, &config),
-            );
-        });
-        if needs_patterns {
-            plan.stage("prepare.patterns", &["prepare.index"], || {
-                let index = index_out.get().expect("dep ran");
-                set(
-                    &patterns_out,
-                    Arc::new(patterns_by_context(&ontology, &corpus, index, &config)),
-                );
-            });
-            plan.stage(
-                "prepare.pattern_sets",
-                &["prepare.index", "prepare.patterns"],
-                || {
-                    let index = index_out.get().expect("dep ran");
-                    let patterns = patterns_out.get().expect("dep ran");
-                    set(
-                        &pattern_sets_out,
-                        build_pattern_sets(&ontology, &corpus, index, patterns, &config),
-                    );
-                },
-            );
-        }
-
-        for (i, &pair) in pairs.iter().enumerate() {
-            let (compute_name, propagate_name) = stage_names(pair);
-            let (kind, function) = pair;
-            let sets_dep = match kind {
-                ContextSetKind::TextBased => "prepare.text_sets",
-                ContextSetKind::PatternBased => "prepare.pattern_sets",
+        let index = {
+            let _span = obs::span("prepare.index");
+            CorpusIndex::build(&ontology, &corpus, &config.pagerank)
+        };
+        let text_sets = {
+            let _span = obs::span("prepare.text_sets");
+            build_text_sets(&ontology, &corpus, &index, &config)
+        };
+        let (patterns, pattern_sets) = if needs_patterns {
+            let patterns = {
+                let _span = obs::span("prepare.patterns");
+                patterns_by_context(&ontology, &corpus, &index, &config)
             };
-            let mut deps = vec!["prepare.index", sets_dep];
-            if function == ScoreFunction::Pattern {
-                deps.push("prepare.patterns");
-            }
-            if pair == (ContextSetKind::PatternBased, ScoreFunction::Text) {
-                deps.push("prepare.text_sets"); // representatives come from there
-            }
-            let raw_slot = &raw[i];
-            let ontology_ref = &ontology;
-            let corpus_ref = &corpus;
-            let config_ref = &config;
-            let index_ref = &index_out;
-            let text_sets_ref = &text_sets_out;
-            let pattern_sets_ref = &pattern_sets_out;
-            let patterns_ref = &patterns_out;
-            plan.stage(compute_name, &deps, move || {
-                let index = index_ref.get().expect("dep ran");
-                let sets = match kind {
-                    ContextSetKind::TextBased => text_sets_ref.get().expect("dep ran"),
-                    ContextSetKind::PatternBased => pattern_sets_ref.get().expect("dep ran"),
-                };
-                let scores = match (kind, function) {
-                    (_, ScoreFunction::Citation) => {
-                        citation_prestige(sets, &index.graph, config_ref)
-                    }
-                    (ContextSetKind::PatternBased, ScoreFunction::Text) => {
-                        // Text scores over the pattern-based set exist
-                        // only for contexts with a representative: score
-                        // a view of the pattern sets carrying the text
-                        // set's representatives (paper Fig 5.3).
-                        let mut view = sets.clone();
-                        view.representatives = text_sets_ref
-                            .get()
-                            .expect("dep ran")
-                            .representatives
-                            .clone();
-                        text_prestige(&view, corpus_ref, index, config_ref)
-                    }
-                    (_, ScoreFunction::Text) => text_prestige(sets, corpus_ref, index, config_ref),
-                    (_, ScoreFunction::Pattern) => pattern_prestige(
-                        ontology_ref,
-                        sets,
-                        corpus_ref,
-                        index,
-                        patterns_ref.get().expect("dep ran"),
-                        config_ref,
-                        true, // the §4 simplified (middle-only) variant
-                    ),
-                };
-                raw_slot.put(scores);
-            });
-            let done_cell = &done[i];
-            plan.stage(propagate_name, &[compute_name], move || {
-                let mut scores = raw_slot.take().expect("compute stage ran");
-                // Propagation only reads membership, and the pattern_text
-                // representative view has identical members, so the plain
-                // set is always the right argument here.
-                let sets = match kind {
-                    ContextSetKind::TextBased => text_sets_ref.get().expect("dep ran"),
-                    ContextSetKind::PatternBased => pattern_sets_ref.get().expect("dep ran"),
-                };
-                scores.propagate_hierarchy_max(ontology_ref, sets);
-                set(done_cell, scores);
-            });
-        }
+            let pattern_sets = {
+                let _span = obs::span("prepare.pattern_sets");
+                build_pattern_sets(&ontology, &corpus, &index, &patterns, &config)
+            };
+            (Some(patterns), pattern_sets)
+        } else {
+            let empty = ContextPaperSets::new(HashMap::new(), ContextSetKind::PatternBased);
+            (None, empty)
+        };
 
-        plan.run(config.build_threads)
-            .expect("prepare plan wiring is statically valid");
-
-        let prestige: HashMap<PrestigePair, PrestigeScores> = pairs
-            .iter()
-            .zip(done)
-            .map(|(&pair, cell)| (pair, cell.into_inner().expect("plan completed")))
-            .collect();
-        let pattern_sets = pattern_sets_out
-            .into_inner()
-            .unwrap_or_else(|| ContextPaperSets::new(HashMap::new(), ContextSetKind::PatternBased));
-        Arc::new(Self {
-            index: index_out.into_inner().expect("plan completed"),
-            text_sets: text_sets_out.into_inner().expect("plan completed"),
-            pattern_sets,
-            prestige,
-            patterns: patterns_out.into_inner(),
+        let mut snapshot = Self {
             ontology,
             corpus,
             config,
-        })
+            index,
+            text_sets,
+            pattern_sets,
+            prestige: HashMap::with_capacity(pairs.len()),
+            patterns,
+        };
+        for pair in pairs {
+            let (compute_name, propagate_name) = stage_names(pair);
+            let (kind, function) = pair;
+            let sets = snapshot.sets(kind);
+            let mut scores = {
+                let _span = obs::span(compute_name);
+                if pair == (ContextSetKind::PatternBased, ScoreFunction::Text) {
+                    // Text scores over the pattern-based set exist only
+                    // for contexts with a representative: score a view of
+                    // the pattern sets carrying the text set's
+                    // representatives (paper Fig 5.3).
+                    let mut view = sets.clone();
+                    view.representatives = snapshot.text_sets.representatives.clone();
+                    snapshot.prestige_with_options(&view, function, true, false)
+                } else {
+                    // `true`: the §4 simplified (middle-only) pattern
+                    // variant; the other functions ignore it.
+                    snapshot.prestige_with_options(sets, function, true, false)
+                }
+            };
+            {
+                // Propagation only reads membership, and the pattern_text
+                // representative view has identical members, so the plain
+                // set is always the right argument here.
+                let _span = obs::span(propagate_name);
+                scores.propagate_hierarchy_max(&snapshot.ontology, sets);
+            }
+            snapshot.prestige.insert(pair, scores);
+        }
+        Arc::new(snapshot)
     }
 
     /// Assemble a snapshot from already-prepared parts (the warm-start
@@ -317,7 +234,7 @@ impl EngineSnapshot {
         text_sets: ContextPaperSets,
         pattern_sets: ContextPaperSets,
         prestige: HashMap<PrestigePair, PrestigeScores>,
-        patterns: Option<Arc<ContextPatterns>>,
+        patterns: Option<ContextPatterns>,
     ) -> Self {
         Self {
             ontology,
@@ -378,7 +295,7 @@ impl EngineSnapshot {
 
     /// The mined per-context patterns (`None` on a warm-loaded
     /// snapshot — the serve path never needs them).
-    pub fn patterns(&self) -> Option<&Arc<ContextPatterns>> {
+    pub fn patterns(&self) -> Option<&ContextPatterns> {
         self.patterns.as_ref()
     }
 
@@ -582,8 +499,8 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_the_stage_functions_called_directly() {
-        // The plan must not change any prepared number: its sets equal
+    fn prepare_matches_the_stage_functions_called_directly() {
+        // Prepare must not change any prepared number: its sets equal
         // the stage functions called one by one, and its tables equal
         // `prestige_with_options` with the defaults it prepares under.
         let snap = prepare_with_threads(1);

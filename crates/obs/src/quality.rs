@@ -410,7 +410,8 @@ pub struct FunctionScores {
 /// run aggregates of every quality signal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QualitySummary {
-    /// Shadow-scored queries aggregated.
+    /// Shadow-scored queries aggregated, those no function answered
+    /// included.
     pub sampled: u64,
     /// Shadow submissions dropped (queue full) before evaluation.
     pub dropped: u64,

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! `generate` writes `ontology.obo` (the standard GO distribution
-//! format) and `corpus.json`; `assign`/`prestige` write the prepare
-//! plan's sets and tables next to them, in the snapshot's file formats;
+//! format) and `corpus.json`; `assign`/`prestige` write prepare's sets
+//! and tables next to them, in the snapshot's file formats;
 //! `search` prepares the one requested table (or loads a `prepare`d
 //! snapshot) and prints ranked results.
 
@@ -635,15 +635,15 @@ A flag a command does not read is an error. `top`, `quality` and
 `serve` also take `--seed N` (queries and the demo build).
 
 `prepare` runs the whole offline phase — context sets, pattern mining,
-and all five standard prestige tables — as a dependency-ordered stage
-plan (`--build-threads N` runs independent stages concurrently; 1 forces
-the sequential schedule; both are result-identical) and writes a
+and all five standard prestige tables — one stage after another, each
+stage parallel across contexts (`--build-threads N` threads; 0, the
+default, uses every core; any N gives the same result), and writes a
 versioned snapshot directory. `search --snapshot DIR` warm-starts from
 that directory, skipping every per-context prestige/PageRank
 computation. `assign` and `prestige` write one set or table of that
-plan into the data directory, and `search --data DIR` prepares its one
-(kind, function) pair in process; both print and write exactly what
-the snapshot holds.
+phase into the data directory, and `search --data DIR` prepares its
+one (kind, function) pair in process; both print and write exactly
+what the snapshot holds.
 
 Any command also accepts `--metrics PATH`: collect telemetry (spans,
 counters, latency histograms) and write a JSON snapshot to PATH.
@@ -832,8 +832,8 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `litsearch assign`: one context paper set, built by the prepare
-/// plan's own stage functions.
+/// `litsearch assign`: one context paper set, built by prepare's own
+/// stage functions.
 fn cmd_assign(flags: &Flags) -> Result<(), String> {
     let (ontology, corpus, dir) = load_data(flags)?;
     let kind = parse_kind(flags)?;
@@ -860,8 +860,7 @@ fn cmd_assign(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the prepare plan for the one (kind, function) pair a command
-/// reads.
+/// Run prepare for the one (kind, function) pair a command reads.
 fn prepare_pair(
     flags: &Flags,
     kind: ContextSetKind,
@@ -884,7 +883,7 @@ fn prepare_pair(
     ))
 }
 
-/// `litsearch prestige`: the prepare plan's table for one pair.
+/// `litsearch prestige`: prepare's table for one pair.
 fn cmd_prestige(flags: &Flags) -> Result<(), String> {
     let kind = parse_kind(flags)?;
     let function = parse_function(flags)?;
@@ -892,7 +891,7 @@ fn cmd_prestige(flags: &Flags) -> Result<(), String> {
     let snapshot = prepare_pair(flags, kind, function)?;
     let prestige = snapshot
         .prestige(kind, function)
-        .ok_or("the prepare plan skipped the requested pair")?;
+        .ok_or("prepare skipped the requested pair")?;
     let path = prestige_path(dir, kind, function);
     let json = prestige_to_json(prestige).map_err(|e| e.to_string())?;
     std::fs::write(&path, json).map_err(|e| e.to_string())?;
@@ -912,7 +911,7 @@ fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
     })
 }
 
-/// `litsearch prepare`: run the full offline phase as a stage plan and
+/// `litsearch prepare`: run the full offline phase, stage by stage, and
 /// write a versioned snapshot directory for warm starts.
 fn cmd_prepare(flags: &Flags) -> Result<(), String> {
     let (ontology, corpus, _dir) = load_data(flags)?;

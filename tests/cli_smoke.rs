@@ -109,7 +109,7 @@ fn metrics_flag_writes_telemetry_snapshots() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // prestige --metrics: the prepare plan's spans, PageRank stats.
+    // prestige --metrics: prepare's spans, PageRank stats.
     let prestige_metrics = dir.join("prestige_metrics.json");
     let out = litsearch(&[
         "prestige",
@@ -327,8 +327,9 @@ fn trace_flag_writes_chrome_trace() {
 /// executable. For every prepared pair, `assign` and `prestige` write
 /// the snapshot's own files byte for byte, and `search --data` prints
 /// exactly what `search --snapshot` prints. The metrics snapshots show
-/// the prepare plan's stage spans (cold) vs. the loader span with no
-/// per-context prestige work (warm).
+/// prepare's stage spans adding up to `prepare.total` (cold) vs. the
+/// loader span with no per-context prestige work (warm), and one- and
+/// two-thread prepares write the same bytes.
 #[test]
 fn prepare_then_snapshot_search_through_the_cli() {
     let dir = std::env::temp_dir().join(format!("litsearch_prepare_test_{}", std::process::id()));
@@ -346,7 +347,7 @@ fn prepare_then_snapshot_search_through_the_cli() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // prepare --metrics: the stage plan runs under prepare.total.
+    // prepare --metrics: the stages run under prepare.total.
     let prepare_metrics = dir.join("prepare_metrics.json");
     let out = litsearch(&[
         "prepare",
@@ -379,6 +380,53 @@ fn prepare_then_snapshot_search_through_the_cli() {
         "persist.save_snapshot",
     ] {
         assert!(m.span(name).is_some(), "span {name} missing: {json}");
+    }
+    // The stages nest in prepare.total on its own thread, so its self
+    // time is exactly its total less the stages' totals.
+    let total = m.span("prepare.total").unwrap();
+    let stages_ns: u64 = m
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("prepare.") && s.name != "prepare.total")
+        .map(|s| s.total_ns)
+        .sum();
+    assert_eq!(
+        Some(total.self_ns),
+        total.total_ns.checked_sub(stages_ns),
+        "prepare.total's self time is not its total less its stages': {json}"
+    );
+
+    // Any thread count prepares the same bytes.
+    let one_thread_dir = dir.join("snap_one_thread");
+    let out = litsearch(&[
+        "prepare",
+        "--data",
+        data,
+        "--out",
+        one_thread_dir.to_str().unwrap(),
+        "--build-threads",
+        "1",
+    ]);
+    assert!(
+        out.status.success(),
+        "prepare --build-threads 1: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let file_names = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(file_names(&snap_dir), file_names(&one_thread_dir));
+    for name in file_names(&snap_dir) {
+        assert!(
+            std::fs::read(snap_dir.join(&name)).unwrap()
+                == std::fs::read(one_thread_dir.join(&name)).unwrap(),
+            "{name:?} differs between --build-threads 2 and 1"
+        );
     }
 
     let same_file = |name: &str| {

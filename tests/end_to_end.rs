@@ -116,7 +116,7 @@ fn citation_scores_tie_more_than_text_scores() {
 #[test]
 fn queries_find_their_ground_truth_contexts() {
     // Context selection reads the pattern-based sets and no prestige
-    // table: build the sets with the plan's stage functions.
+    // table: build the sets with prepare's stage functions.
     let e = tiny_snapshot(33, &[]);
     let (onto, corp, index, config) = (e.ontology(), e.corpus(), e.index(), e.config());
     let patterns = patterns_by_context(onto, corp, index, config);

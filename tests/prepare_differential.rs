@@ -355,7 +355,7 @@ fn generated(seed: u64) -> (Ontology, Corpus) {
 
 fn config(threads: usize) -> EngineConfig {
     EngineConfig {
-        threads,
+        build_threads: threads,
         ..Default::default()
     }
 }

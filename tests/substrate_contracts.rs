@@ -33,8 +33,8 @@ fn small_corpus(onto: &litsearch::ontology::Ontology) -> Corpus {
     )
 }
 
-/// The pattern-based context sets, built by the prepare plan's stage
-/// functions without any prestige table.
+/// The pattern-based context sets, built by prepare's stage functions
+/// without any prestige table.
 fn pattern_sets(onto: &litsearch::ontology::Ontology, corpus: &Corpus) -> ContextPaperSets {
     let config = EngineConfig::default();
     let index = CorpusIndex::build(onto, corpus, &config.pagerank);
