@@ -5,7 +5,10 @@
 //! byte-slice state machine over whatever a `TcpStream` has delivered
 //! so far. The parser is **incremental**: callers accumulate bytes in a
 //! buffer and re-invoke [`parse_request`] until it returns something
-//! other than [`Parsed::Partial`].
+//! other than [`Parsed::Partial`]. A read loop calls
+//! [`parse_request_resuming`] instead, so the search for the end of the
+//! head picks up where the last call left off and a head that arrives a
+//! few bytes per read costs time linear in its length.
 //!
 //! This file is on the serving hot path and is policed by the
 //! `no-panic-serving` and `no-locks-on-hot-path` lint rules: no
@@ -115,7 +118,16 @@ pub enum Parsed {
 
 /// Parse the longest complete request at the start of `buf`.
 pub fn parse_request(buf: &[u8]) -> Parsed {
-    let head_end = match find_head_end(buf) {
+    parse_request_resuming(buf, &mut 0)
+}
+
+/// [`parse_request`] for a buffer that only grew since the last call:
+/// `scanned` holds how many bytes earlier calls searched for the end of
+/// the head (0 for a fresh buffer), and the search resumes 3 bytes
+/// before it, where a terminator split by a read could begin. The
+/// caller resets it to 0 when it drains a complete request.
+pub fn parse_request_resuming(buf: &[u8], scanned: &mut usize) -> Parsed {
+    let head_end = match find_head_end(buf, scanned) {
         Some(pos) => pos,
         None => {
             if buf.len() > MAX_HEAD_BYTES && !terminator_may_start_by_cap(buf) {
@@ -197,12 +209,20 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
     )
 }
 
-/// Byte offset of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
+/// Byte offset of the `\r\n\r\n` head terminator, if present,
+/// searching from 3 bytes before `*scanned` and recording in it how far
+/// this search got.
+fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
     // Only scan up to the cap (+3 so a terminator straddling the cap
     // still resolves to HeadTooLarge rather than Partial forever).
-    let scan = buf.get(..buf.len().min(MAX_HEAD_BYTES + 4)).unwrap_or(buf);
-    scan.windows(4).position(|w| w == b"\r\n\r\n")
+    let end = buf.len().min(MAX_HEAD_BYTES + 4);
+    let from = scanned.saturating_sub(3).min(end);
+    let found = buf
+        .get(from..end)
+        .and_then(|scan| scan.windows(4).position(|w| w == b"\r\n\r\n"))
+        .map(|at| from + at);
+    *scanned = found.unwrap_or(end);
+    found
 }
 
 /// Whether a terminator-less `buf` longer than the cap ends in the

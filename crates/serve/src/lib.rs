@@ -28,7 +28,7 @@ pub mod signal;
 
 pub use admission::{AdmissionQueue, PendingConn};
 pub use handler::{encode_results, AppState, SearchDefaults};
-pub use http::{parse_request, ParseError, Parsed, Request, Response};
+pub use http::{parse_request, parse_request_resuming, ParseError, Parsed, Request, Response};
 pub use server::{
     start, start_with_clock, start_with_exec_hook, DrainSummary, ExecHook, ServerConfig,
     ServerHandle, ServerStats,

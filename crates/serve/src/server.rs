@@ -414,10 +414,12 @@ fn serve_connection(
     let mut idle_since_ns = dequeue_ns;
     let mut responded = false;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    // How far the search for the end of the head has got in `buf`.
+    let mut head_scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         let parse_start_ns = clock.now_ns();
-        let parsed = http::parse_request(&buf);
+        let parsed = http::parse_request_resuming(&buf, &mut head_scanned);
         match parsed {
             Parsed::Complete(request, consumed) => {
                 record_stage(
@@ -425,6 +427,7 @@ fn serve_connection(
                     clock.now_ns().saturating_sub(parse_start_ns),
                 );
                 buf.drain(..consumed);
+                head_scanned = 0;
                 let keep_going = handle_one(
                     &mut stream,
                     &request,

@@ -9,7 +9,7 @@
 //! count (so pipelined followers start at the right offset).
 
 use proptest::prelude::*;
-use serve::{parse_request, ParseError, Parsed};
+use serve::{parse_request, parse_request_resuming, ParseError, Parsed};
 
 /// Assemble a syntactically valid request from generated parts.
 fn build_request(method: &str, path: &str, headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
@@ -122,6 +122,29 @@ proptest! {
         }
     }
 
+    /// Fed one growing buffer through the resuming entry point, split at
+    /// any points, the parser answers every prefix as a fresh parse of
+    /// it would: a terminator split across reads is still found.
+    #[test]
+    fn resumed_parse_matches_a_fresh_parse(
+        path in "[a-z]{1,16}",
+        headers in proptest::collection::vec(("[a-z]{1,6}", "[a-z0-9]{0,8}"), 0..4),
+        body in proptest::collection::vec(0u8..=255, 0..48),
+        steps in proptest::collection::vec(1usize..7, 1..200),
+    ) {
+        let raw = build_request("POST", &path, &headers, &body);
+        let mut scanned = 0;
+        let mut cut = 0;
+        for step in steps.iter().cycle() {
+            let resumed = format!("{:?}", parse_request_resuming(&raw[..cut], &mut scanned));
+            prop_assert_eq!(resumed, format!("{:?}", parse_request(&raw[..cut])), "prefix {}", cut);
+            if cut == raw.len() {
+                break;
+            }
+            cut = (cut + step).min(raw.len());
+        }
+    }
+
     /// A head that keeps growing without a terminator is rejected once
     /// it passes the cap instead of buffering forever.
     #[test]
@@ -137,21 +160,28 @@ proptest! {
 }
 
 /// A head whose terminator starts exactly at the cap is accepted however
-/// the reads split it: every strict prefix waits for more bytes.
+/// the reads split it: every strict prefix waits for more bytes. The
+/// prefixes grow one byte at a time through the resuming entry point, as
+/// the server's read loop calls it, so the whole run scans each byte a
+/// bounded number of times.
 #[test]
 fn head_ending_at_the_cap_parses_across_split_reads() {
     let mut raw = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
     let pad = serve::http::MAX_HEAD_BYTES - raw.len();
     raw.extend(std::iter::repeat_n(b'a', pad));
     raw.extend_from_slice(b"\r\n\r\n");
+    let mut scanned = 0;
     for cut in 0..raw.len() {
         assert!(
-            matches!(parse_request(&raw[..cut]), Parsed::Partial),
+            matches!(
+                parse_request_resuming(&raw[..cut], &mut scanned),
+                Parsed::Partial
+            ),
             "prefix of {cut}/{} bytes was not Partial",
             raw.len()
         );
     }
-    match parse_request(&raw) {
+    match parse_request_resuming(&raw, &mut scanned) {
         Parsed::Complete(req, used) => {
             assert_eq!(used, raw.len());
             assert_eq!(req.header("x-pad").map(str::len), Some(pad));

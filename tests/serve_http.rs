@@ -14,6 +14,11 @@
 //!    between requests does not spend the next request's deadline.
 //! 5. **`/quality`**: the server answers it from the shadow scorer it
 //!    was started with, and 404 when it has none.
+//! 6. **Hostile bodies**: a body nested past the JSON reader's bound is
+//!    a 400, and the server goes on answering.
+//! 7. **Abandoned responses**: a client that closes its socket before
+//!    reading its answer costs the server one counted request, nothing
+//!    more.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -263,6 +268,90 @@ fn keep_alive_idle_time_does_not_spend_the_next_deadline() {
 
     let summary = handle.await_drained();
     assert_eq!(summary.responses_ok, 8);
+}
+
+/// One `POST /v1/search` with `body` on a fresh connection: its status
+/// and body.
+fn post_search(addr: std::net::SocketAddr, body: &[u8]) -> (u16, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut request = format!(
+        "POST /v1/search HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request).expect("write request");
+    read_response(&mut stream, &mut Vec::new())
+}
+
+#[test]
+fn a_body_nested_past_the_bound_is_a_400_and_serving_goes_on() {
+    let snap = snapshot(Scale::Tiny, 21);
+    let handle = serve::start(
+        snap.searcher(),
+        ServerConfig {
+            workers: 1,
+            deadline_ns: 0,
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    let addr = handle.local_addr();
+
+    // 200,000 `[` fit under the body cap; a reader with no depth bound
+    // overflowed the worker's stack on them and took the process down.
+    let (status, body) = post_search(addr, &[b'['; 200_000]);
+    assert_eq!(status, 400);
+    let body = String::from_utf8(body).expect("UTF-8");
+    assert!(body.contains("nesting deeper than 128"), "{body}");
+
+    // The one worker is still there to answer.
+    let (status, _) = post_search(addr, b"{\"query\":\"biological process\"}");
+    assert_eq!(status, 200);
+
+    let summary = handle.await_drained();
+    assert_eq!((summary.http_errors, summary.responses_ok), (1, 1));
+}
+
+#[test]
+fn a_client_that_closes_before_reading_is_counted_once() {
+    let snap = snapshot(Scale::Tiny, 21);
+    // One worker serves connections in arrival order, so the second
+    // connection is answered only after the first is finished with.
+    let handle = serve::start(
+        snap.searcher(),
+        ServerConfig {
+            workers: 1,
+            deadline_ns: 0,
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    let addr = handle.local_addr();
+
+    // Every result (limit 0), and the socket closed before the answer
+    // is read: the server writes its answer into a closed connection.
+    {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let body = "{\"query\":\"biological process\",\"limit\":0}";
+        let request = format!(
+            "POST /v1/search HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).expect("write request");
+    }
+
+    // The worker did not panic: it answers the next connection.
+    let (status, body) = post_search(addr, b"{\"query\":\"biological process\"}");
+    assert_eq!(status, 200);
+    assert!(body.starts_with(b"{\"count\":"));
+
+    let summary = handle.await_drained();
+    assert_eq!(summary.requests, 2, "{}", summary.render());
+    assert_eq!(summary.responses_ok, 2, "{}", summary.render());
 }
 
 /// `GET path` on a keep-alive connection.
