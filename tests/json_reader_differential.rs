@@ -691,8 +691,8 @@ impl Writer {
         }
     }
 
-    /// A [`Value`] tree, written with the same freedom; what the parent
-    /// reader made of the text is the oracle, not the tree itself.
+    /// A [`Value`] tree, written with the same freedom; what the tree
+    /// parse makes of the text is the oracle, not the tree itself.
     fn value(&mut self, v: &Value) {
         match v {
             Value::Null => self.out.push_str("null"),
