@@ -120,7 +120,9 @@ pub struct EngineConfig {
     /// Worker threads for prepare's per-context computations
     /// ([`crate::EngineSnapshot::prepare`] runs its stages in order, each
     /// parallel across contexts): 0 ⇒ available parallelism, 1 ⇒ one
-    /// thread. Result-identical at any value.
+    /// thread. Result-identical at any value. It does not bound
+    /// [`crate::indexes::CorpusIndex::build`], which always runs its
+    /// three independent parts side by side.
     pub build_threads: usize,
 }
 

@@ -59,69 +59,29 @@ pub fn section_index(section: Section) -> usize {
 impl CorpusIndex {
     /// Build all prepared state. The heavyweight step of engine
     /// construction — everything after this is per-context work.
+    ///
+    /// Three independent parts run side by side, whatever the thread
+    /// settings: the whole-paper model, its vectors and the inverted
+    /// index on the calling thread; the four section models on a second
+    /// thread; the citation graph, the global PageRank and the coauthor
+    /// map on a third. Each part is the same sequential code on any
+    /// thread, so the result is bit-identical to building them in turn.
+    /// The term names, name postings and idf mass then follow on the
+    /// caller. Spans opened on the two helpers count against no parent.
     pub fn build(ontology: &Ontology, corpus: &Corpus, pagerank_cfg: &PageRankConfig) -> Self {
         let _span = obs::span("index.build");
-        let n = corpus.len();
-
-        // Whole-paper model + vectors + index. Each paper's sections are
-        // concatenated once per pass and dropped, never all at once.
-        let (model, doc_vectors, inverted) = {
-            let _s = obs::span("index.tfidf_whole");
-            let whole = |id: PaperId| corpus.analyzed(id).concat();
-            let model = TfIdfModel::fit(corpus.paper_ids().map(whole));
-            let doc_vectors: Vec<SparseVector> = corpus
-                .paper_ids()
-                .map(|id| model.vectorize_normalized(&whole(id)))
-                .collect();
-            let inverted = InvertedIndex::build(&doc_vectors);
-            (model, doc_vectors, inverted)
-        };
-
-        // Per-section models + vectors.
-        let _sections = obs::span("index.tfidf_sections");
-        let mut section_models: Vec<TfIdfModel> = Vec::with_capacity(4);
-        let mut section_vectors: Vec<Vec<SparseVector>> = Vec::with_capacity(4);
-        for section in Section::ALL {
-            let docs: Vec<&[TermId]> = corpus
-                .paper_ids()
-                .map(|id| corpus.analyzed(id).section(section))
-                .collect();
-            let m = TfIdfModel::fit(docs.iter().copied());
-            let vecs: Vec<SparseVector> = docs.iter().map(|d| m.vectorize_normalized(d)).collect();
-            section_models.push(m);
-            section_vectors.push(vecs);
-        }
-        let section_models: [TfIdfModel; 4] = section_models
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("exactly four sections"));
-        let section_vectors: [Vec<SparseVector>; 4] = section_vectors
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("exactly four sections"));
-        drop(_sections);
-
-        // Citations.
-        let (graph, global_pagerank) = {
-            let _s = obs::span("index.citation_graph");
-            let graph = CitationGraph::from_edges(n as u32, &corpus.citation_edges());
-            let global_pagerank = pagerank(&graph, pagerank_cfg).scores;
-            (graph, global_pagerank)
-        };
-
-        // Co-authors.
-        let _aux = obs::span("index.aux_tables");
-        let mut coauthors: HashMap<AuthorId, HashSet<AuthorId>> = HashMap::new();
-        for p in corpus.papers() {
-            for &a in &p.authors {
-                for &b in &p.authors {
-                    if a != b {
-                        coauthors.entry(a).or_default().insert(b);
-                    }
-                }
-            }
-        }
+        let (whole, sections, citations) = std::thread::scope(|scope| {
+            let sections = scope.spawn(|| section_models(corpus));
+            let citations = scope.spawn(|| citations(corpus, pagerank_cfg));
+            (whole_model(corpus), join(sections), join(citations))
+        });
+        let (model, doc_vectors, inverted) = whole;
+        let (section_models, section_vectors) = sections;
+        let (graph, global_pagerank, coauthors) = citations;
 
         // Term names (analyzed against the corpus vocabulary, which
-        // interned them at corpus build).
+        // interned them at corpus build), their postings and idf mass.
+        let _aux = obs::span("index.aux_tables");
         let term_name_tokens: Vec<Vec<TermId>> = ontology
             .term_ids()
             .map(|t| corpus.analyze_known(&ontology.term(t).name))
@@ -261,6 +221,74 @@ impl CorpusIndex {
     }
 }
 
+/// The whole-paper model, its unit-norm vectors and the inverted index.
+/// Each paper's sections are concatenated once per pass and dropped,
+/// never all at once.
+fn whole_model(corpus: &Corpus) -> (TfIdfModel, Vec<SparseVector>, InvertedIndex) {
+    let _s = obs::span("index.tfidf_whole");
+    let whole = |id: PaperId| corpus.analyzed(id).concat();
+    let model = TfIdfModel::fit(corpus.paper_ids().map(whole));
+    let doc_vectors: Vec<SparseVector> = corpus
+        .paper_ids()
+        .map(|id| model.vectorize_normalized(&whole(id)))
+        .collect();
+    let inverted = InvertedIndex::build(&doc_vectors);
+    (model, doc_vectors, inverted)
+}
+
+/// The four per-section models and their unit-norm vectors, in
+/// [`section_index`] order.
+fn section_models(corpus: &Corpus) -> ([TfIdfModel; 4], [Vec<SparseVector>; 4]) {
+    let _s = obs::span("index.tfidf_sections");
+    let fit = |section: Section| {
+        let docs: Vec<&[TermId]> = corpus
+            .paper_ids()
+            .map(|id| corpus.analyzed(id).section(section))
+            .collect();
+        let m = TfIdfModel::fit(docs.iter().copied());
+        let vecs: Vec<SparseVector> = docs.iter().map(|d| m.vectorize_normalized(d)).collect();
+        (m, vecs)
+    };
+    let [title, abstract_text, body, index_terms] = Section::ALL.map(fit);
+    (
+        [title.0, abstract_text.0, body.0, index_terms.0],
+        [title.1, abstract_text.1, body.1, index_terms.1],
+    )
+}
+
+/// The citation graph with its global PageRank, and the coauthor map
+/// (symmetric, self excluded).
+type Citations = (
+    CitationGraph,
+    Vec<f64>,
+    HashMap<AuthorId, HashSet<AuthorId>>,
+);
+
+fn citations(corpus: &Corpus, pagerank_cfg: &PageRankConfig) -> Citations {
+    let _s = obs::span("index.citation_graph");
+    let graph = CitationGraph::from_edges(corpus.len() as u32, &corpus.citation_edges());
+    let global_pagerank = pagerank(&graph, pagerank_cfg).scores;
+    let mut coauthors: HashMap<AuthorId, HashSet<AuthorId>> = HashMap::new();
+    for p in corpus.papers() {
+        for &a in &p.authors {
+            for &b in &p.authors {
+                if a != b {
+                    coauthors.entry(a).or_default().insert(b);
+                }
+            }
+        }
+    }
+    (graph, global_pagerank, coauthors)
+}
+
+/// The value of a helper thread of [`CorpusIndex::build`]; its panic
+/// goes on in the caller.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 /// The distinct authors of a byline, each at its first appearance.
 fn distinct(byline: &[AuthorId]) -> impl Iterator<Item = AuthorId> + '_ {
     byline
@@ -351,6 +379,48 @@ mod tests {
         let total: f64 = idx.global_pagerank.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(idx.global_pagerank.iter().all(|&x| x >= 0.0));
+    }
+
+    #[test]
+    fn side_by_side_builds_are_bit_identical() {
+        // Every vector's weights as bits, every posting, and the global
+        // PageRank, of one build.
+        fn bits(idx: &CorpusIndex, n_terms: usize) -> Vec<Vec<(u32, u64)>> {
+            let vector = |v: &SparseVector| {
+                v.entries()
+                    .iter()
+                    .map(|&(t, w)| (t.0, w.to_bits()))
+                    .collect()
+            };
+            let mut out: Vec<Vec<(u32, u64)>> = idx.doc_vectors.iter().map(vector).collect();
+            for vectors in &idx.section_vectors {
+                out.extend(vectors.iter().map(vector));
+            }
+            out.extend((0..n_terms as u32).map(|t| {
+                let postings = idx.inverted.postings(TermId(t));
+                postings
+                    .iter()
+                    .map(|p| (p.doc.0, u64::from(p.weight.to_bits())))
+                    .collect()
+            }));
+            out.push(
+                idx.global_pagerank
+                    .iter()
+                    .map(|x| (0, x.to_bits()))
+                    .collect(),
+            );
+            out
+        }
+        let (onto, corpus, first) = setup();
+        let n_terms = corpus.vocab().len();
+        let expected = bits(&first, n_terms);
+        for _ in 0..8 {
+            let idx = CorpusIndex::build(&onto, &corpus, &PageRankConfig::default());
+            assert!(
+                bits(&idx, n_terms) == expected,
+                "a build differs from the first"
+            );
+        }
     }
 
     #[test]

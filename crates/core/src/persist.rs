@@ -23,7 +23,9 @@ use crate::context::{ContextId, ContextPaperSets, ContextSetKind};
 use crate::indexes::CorpusIndex;
 use crate::prestige::{PrestigeScores, ScoreFunction};
 use crate::snapshot::{EngineSnapshot, PrestigePair};
+use corpus::store::CorpusFile;
 use corpus::{Corpus, PaperId};
+use ontology::Ontology;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -425,6 +427,13 @@ pub fn save_snapshot(snapshot: &EngineSnapshot, dir: &Path) -> Result<(), Persis
 /// pattern mining, and every per-context prestige/PageRank computation
 /// are read back from disk instead of recomputed. The returned snapshot
 /// has `patterns() == None`.
+///
+/// After the header and the ontology, two lanes run side by side: a
+/// second thread reads and checks both context sets files and every
+/// prestige file, while the calling thread reads, checks and analyzes
+/// the corpus and builds the index. Both lanes run to the end; then the
+/// corpus lane's error wins, and after it the tables lane's first, which
+/// is the error loading the files one after another in that order gives.
 pub fn load_snapshot(
     dir: &Path,
     config: EngineConfig,
@@ -444,7 +453,48 @@ pub fn load_snapshot(
     }
     let ontology = ontology::obo::parse_obo(&read_file(&dir.join("ontology.obo"))?)
         .map_err(|e| PersistError::Corrupt(format!("ontology.obo: {e}")))?;
-    let corpus = Corpus::from_json(&read_file(&dir.join("corpus.json"))?)?;
+    let (corpus_lane, tables_lane) = std::thread::scope(|scope| {
+        let tables = scope.spawn(|| load_tables(dir, &header));
+        let corpus = load_corpus(dir, &header, &ontology, &config);
+        (corpus, tables.join())
+    });
+    let tables_lane = tables_lane.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    let (corpus, index) = corpus_lane?;
+    let tables = tables_lane?;
+    obs::counter("persist.snapshots_loaded", 1);
+    // Surface parse-bound load cost directly (the span only reaches the
+    // histogram; the gauge makes the latest load time greppable in any
+    // metrics snapshot).
+    let load_ms = (obs::Clock::now_ns(&clock).saturating_sub(load_start_ns)) as f64 / 1e6;
+    obs::gauge("persist.load_snapshot_ms", load_ms);
+    Ok(Arc::new(EngineSnapshot::from_parts(
+        ontology,
+        corpus,
+        config,
+        index,
+        tables.text_sets,
+        tables.pattern_sets,
+        tables.prestige,
+        None,
+    )))
+}
+
+/// The corpus lane of [`load_snapshot`]: read, decode, check and
+/// analyze `corpus.json`, then build the index.
+fn load_corpus(
+    dir: &Path,
+    header: &SnapshotHeader,
+    ontology: &Ontology,
+    config: &EngineConfig,
+) -> Result<(Corpus, CorpusIndex), PersistError> {
+    let text = read_file(&dir.join("corpus.json"))?;
+    let file: CorpusFile = serde_json::from_str(&text)?;
+    // The text goes before the analysis, which holds the most memory
+    // while the tables lane holds its own.
+    drop(text);
+    check_corpus_terms(&file, header)?;
+    let corpus =
+        Corpus::from_file(file).map_err(|e| PersistError::Corrupt(format!("corpus.json: {e}")))?;
     if corpus.len() != header.papers || ontology.len() != header.terms {
         return Err(PersistError::Corrupt(format!(
             "header promises {} papers / {} terms, payload has {} / {}",
@@ -454,30 +504,45 @@ pub fn load_snapshot(
             ontology.len()
         )));
     }
-    let index = CorpusIndex::build(&ontology, &corpus, &config.pagerank);
-    let mut sets_by_kind: HashMap<ContextSetKind, ContextPaperSets> = HashMap::new();
-    for kind in [ContextSetKind::TextBased, ContextSetKind::PatternBased] {
-        let name = sets_file_name(kind);
-        let file: ContextSetsFile = serde_json::from_str(&read_file(&dir.join(&name))?)?;
-        for (c, members) in &file.members {
-            check_column(&name, &header, *c, members.iter().copied())?;
-        }
-        for &(c, p) in &file.representatives {
-            check_column(&name, &header, c, [p])?;
-        }
-        for &(c, ancestor) in &file.inherited_from {
-            check_column(&name, &header, c, [])?;
-            check_column(&name, &header, ancestor, [])?;
-        }
-        let sets = context_sets_from_file(file).map_err(in_file(&name))?;
-        if sets.kind != kind {
+    let index = CorpusIndex::build(ontology, &corpus, &config.pagerank);
+    Ok((corpus, index))
+}
+
+/// Check the ontology terms the corpus names against the header: an
+/// evidence term or a paper's true topic past the ontology is refused.
+fn check_corpus_terms(file: &CorpusFile, header: &SnapshotHeader) -> Result<(), PersistError> {
+    let past = |term: u32| term as usize >= header.terms;
+    if let Some((term, _)) = file.evidence.iter().find(|(term, _)| past(*term)) {
+        return Err(PersistError::Corrupt(format!(
+            "corpus.json: evidence names term {term}, past the header's {} terms",
+            header.terms
+        )));
+    }
+    for paper in &file.papers {
+        if let Some(topic) = paper.true_topics.iter().find(|t| past(t.0)) {
             return Err(PersistError::Corrupt(format!(
-                "{name} holds a {:?} set",
-                sets.kind
+                "corpus.json: paper {} names true topic {}, past the header's {} terms",
+                paper.id.0, topic.0, header.terms
             )));
         }
-        sets_by_kind.insert(kind, sets);
     }
+    Ok(())
+}
+
+/// What the tables lane of [`load_snapshot`] reads: both context paper
+/// sets and every prestige table the header lists.
+struct Tables {
+    text_sets: ContextPaperSets,
+    pattern_sets: ContextPaperSets,
+    prestige: HashMap<PrestigePair, PrestigeScores>,
+}
+
+/// The tables lane of [`load_snapshot`]: read and check the two sets
+/// files, then the prestige files in the header's order, stopping at
+/// the first error.
+fn load_tables(dir: &Path, header: &SnapshotHeader) -> Result<Tables, PersistError> {
+    let text_sets = load_sets(dir, header, ContextSetKind::TextBased)?;
+    let pattern_sets = load_sets(dir, header, ContextSetKind::PatternBased)?;
     let mut prestige: HashMap<PrestigePair, PrestigeScores> = HashMap::new();
     for (kind_name, function_name) in &header.pairs {
         let kind = kind_from_name(kind_name)?;
@@ -493,7 +558,7 @@ pub fn load_snapshot(
         for (c, papers, _) in table.iter_columns() {
             // The columns are ascending: the last paper is the largest,
             // and a repeat sits next to its first entry.
-            check_column(&name, &header, c.0, papers.last().map(|p| p.0))?;
+            check_column(&name, header, c.0, papers.last().map(|p| p.0))?;
             if let Some((p, _)) = papers
                 .iter()
                 .zip(papers.iter().skip(1))
@@ -507,29 +572,39 @@ pub fn load_snapshot(
         }
         prestige.insert((kind, function), table);
     }
-    let mut take_sets = |kind: ContextSetKind| {
-        sets_by_kind.remove(&kind).ok_or_else(|| {
-            PersistError::Corrupt(format!("no {} context sets were loaded", kind.name()))
-        })
-    };
-    let text_sets = take_sets(ContextSetKind::TextBased)?;
-    let pattern_sets = take_sets(ContextSetKind::PatternBased)?;
-    obs::counter("persist.snapshots_loaded", 1);
-    // Surface parse-bound load cost directly (the span only reaches the
-    // histogram; the gauge makes the latest load time greppable in any
-    // metrics snapshot, e.g. by load-smoke at larger corpus scales).
-    let load_ms = (obs::Clock::now_ns(&clock).saturating_sub(load_start_ns)) as f64 / 1e6;
-    obs::gauge("persist.load_snapshot_ms", load_ms);
-    Ok(Arc::new(EngineSnapshot::from_parts(
-        ontology,
-        corpus,
-        config,
-        index,
+    Ok(Tables {
         text_sets,
         pattern_sets,
         prestige,
-        None,
-    )))
+    })
+}
+
+/// Read and check the `kind` context sets file of a snapshot.
+fn load_sets(
+    dir: &Path,
+    header: &SnapshotHeader,
+    kind: ContextSetKind,
+) -> Result<ContextPaperSets, PersistError> {
+    let name = sets_file_name(kind);
+    let file: ContextSetsFile = serde_json::from_str(&read_file(&dir.join(&name))?)?;
+    for (c, members) in &file.members {
+        check_column(&name, header, *c, members.iter().copied())?;
+    }
+    for &(c, p) in &file.representatives {
+        check_column(&name, header, c, [p])?;
+    }
+    for &(c, ancestor) in &file.inherited_from {
+        check_column(&name, header, c, [])?;
+        check_column(&name, header, ancestor, [])?;
+    }
+    let sets = context_sets_from_file(file).map_err(in_file(&name))?;
+    if sets.kind != kind {
+        return Err(PersistError::Corrupt(format!(
+            "{name} holds a {:?} set",
+            sets.kind
+        )));
+    }
+    Ok(sets)
 }
 
 #[cfg(test)]

@@ -25,6 +25,79 @@ pub struct CorpusFile {
     pub extra_texts: Vec<String>,
 }
 
+/// Why a corpus file was refused.
+#[derive(Debug)]
+pub enum CorpusError {
+    /// The JSON was malformed or of the wrong shape.
+    Json(serde_json::Error),
+    /// The paper at `position` carries another `id`.
+    Misplaced {
+        /// Its position in `papers`.
+        position: usize,
+        /// The id it carries.
+        id: u32,
+    },
+    /// A paper's `references` or `authors` names an entry past the end
+    /// of the papers or the author names.
+    PastTheEnd {
+        /// The paper's id.
+        paper: u32,
+        /// `"references"` or `"authors"`.
+        field: &'static str,
+        /// The id named.
+        value: u32,
+        /// The length of the table it points into.
+        count: usize,
+    },
+    /// An ontology term's evidence names a paper past the end of the
+    /// papers.
+    Evidence {
+        /// The ontology term.
+        term: u32,
+        /// The paper named.
+        paper: u32,
+        /// The paper count.
+        papers: usize,
+    },
+}
+
+impl std::fmt::Display for CorpusError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Json(e) => write!(f, "{e}"),
+            Self::Misplaced { position, id } => {
+                write!(f, "the paper at position {position} has id {id}")
+            }
+            Self::PastTheEnd {
+                paper,
+                field,
+                value,
+                count,
+            } => write!(
+                f,
+                "paper {paper}: {field} entry {value} is out of range (0..{count})"
+            ),
+            Self::Evidence {
+                term,
+                paper,
+                papers,
+            } => write!(
+                f,
+                "evidence of term {term}: paper {paper} is out of range (0..{papers})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CorpusError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Json(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 /// A paper's sections as interned, stemmed, stopword-free token streams.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzedPaper {
@@ -217,8 +290,46 @@ impl Corpus {
     }
 
     /// Load a corpus serialized with [`Corpus::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let file: CorpusFile = serde_json::from_str(json)?;
+    pub fn from_json(json: &str) -> Result<Self, CorpusError> {
+        Self::from_file(serde_json::from_str(json).map_err(CorpusError::Json)?)
+    }
+
+    /// Build a corpus from its decoded file, refusing an id that points
+    /// nowhere: a paper whose `id` is not its position, or a reference,
+    /// evidence paper or author past the end of its table. Every check
+    /// runs before the analysis.
+    pub fn from_file(file: CorpusFile) -> Result<Self, CorpusError> {
+        let papers = file.papers.len();
+        let authors = file.author_names.len();
+        for (position, p) in file.papers.iter().enumerate() {
+            if p.id.index() != position {
+                return Err(CorpusError::Misplaced {
+                    position,
+                    id: p.id.0,
+                });
+            }
+            let past = |field, value: u32, count| CorpusError::PastTheEnd {
+                paper: p.id.0,
+                field,
+                value,
+                count,
+            };
+            if let Some(r) = p.references.iter().find(|r| r.index() >= papers) {
+                return Err(past("references", r.0, papers));
+            }
+            if let Some(a) = p.authors.iter().find(|a| a.index() >= authors) {
+                return Err(past("authors", a.0, authors));
+            }
+        }
+        for (term, ps) in &file.evidence {
+            if let Some(&p) = ps.iter().find(|&&p| p as usize >= papers) {
+                return Err(CorpusError::Evidence {
+                    term: *term,
+                    paper: p,
+                    papers,
+                });
+            }
+        }
         let evidence: HashMap<OntTermId, Vec<PaperId>> = file
             .evidence
             .into_iter()
@@ -353,7 +464,36 @@ mod tests {
 
     #[test]
     fn malformed_corpus_json_errors() {
-        assert!(Corpus::from_json("not json").is_err());
+        assert!(matches!(
+            Corpus::from_json("not json"),
+            Err(CorpusError::Json(_))
+        ));
+    }
+
+    #[test]
+    fn ids_that_point_nowhere_are_refused() {
+        let names = ["chromatin assembly".to_string()];
+        let damaged = |damage: fn(&mut CorpusFile)| {
+            let mut file: CorpusFile = serde_json::from_str(&tiny().to_json(&names)).unwrap();
+            damage(&mut file);
+            Corpus::from_file(file).unwrap_err().to_string()
+        };
+        assert_eq!(
+            damaged(|f| f.papers[1].id = PaperId(401)),
+            "the paper at position 1 has id 401"
+        );
+        assert_eq!(
+            damaged(|f| f.papers[2].references[1] = PaperId(3)),
+            "paper 2: references entry 3 is out of range (0..3)"
+        );
+        assert_eq!(
+            damaged(|f| f.papers[0].authors[0] = AuthorId(100_000)),
+            "paper 0: authors entry 100000 is out of range (0..3)"
+        );
+        assert_eq!(
+            damaged(|f| f.evidence[0].1.push(4_000_000)),
+            "evidence of term 0: paper 4000000 is out of range (0..3)"
+        );
     }
 
     #[test]

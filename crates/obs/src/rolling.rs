@@ -94,10 +94,18 @@ impl Bucket {
     }
 }
 
-/// Per-shard state: ring buffers per series name, plus the clamp floor.
+/// One series in one shard: its ring, and the epoch of its first
+/// observation.
+#[derive(Debug)]
+struct Series {
+    first_epoch: u64,
+    ring: Vec<Bucket>,
+}
+
+/// Per-shard state: one [`Series`] per name, plus the clamp floor.
 #[derive(Debug, Default)]
 struct ShardState {
-    series: BTreeMap<String, Vec<Bucket>>,
+    series: BTreeMap<String, Series>,
     /// Latest epoch this shard has written; timestamps that regress
     /// below it are clamped up to it.
     last_epoch: u64,
@@ -114,7 +122,9 @@ pub struct WindowStats {
     pub count: u64,
     /// Observations flagged as errors.
     pub errors: u64,
-    /// `count / window_secs`.
+    /// `count` over the time the series has had inside the window: from
+    /// the start of its first bucket to the end of the bucket read, at
+    /// least one bucket and at most `window_secs`.
     pub qps: f64,
     /// `errors / count` (0 when the window is empty).
     pub error_rate: f64,
@@ -136,13 +146,20 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    fn from_merged(name: &str, window_secs: u64, count: u64, errors: u64, hist: Histogram) -> Self {
+    fn from_merged(
+        name: &str,
+        window_secs: u64,
+        live_secs: u64,
+        count: u64,
+        errors: u64,
+        hist: Histogram,
+    ) -> Self {
         Self {
             name: name.to_string(),
             window_secs,
             count,
             errors,
-            qps: count as f64 / window_secs.max(1) as f64,
+            qps: count as f64 / live_secs.max(1) as f64,
             error_rate: if count == 0 {
                 0.0
             } else {
@@ -237,11 +254,14 @@ impl RollingRecorder {
         let epoch = (ts_ns / self.bucket_ns).max(state.last_epoch);
         state.last_epoch = epoch;
         let n_buckets = self.n_buckets;
-        let ring = state
+        let series = state
             .series
             .entry(name.to_string())
-            .or_insert_with(|| (0..n_buckets).map(|_| Bucket::empty()).collect());
-        let slot = &mut ring[(epoch % n_buckets as u64) as usize];
+            .or_insert_with(|| Series {
+                first_epoch: epoch,
+                ring: (0..n_buckets).map(|_| Bucket::empty()).collect(),
+            });
+        let slot = &mut series.ring[(epoch % n_buckets as u64) as usize];
         if slot.epoch != epoch {
             slot.reset_to(epoch);
         }
@@ -267,23 +287,25 @@ impl RollingRecorder {
     /// ending at `at_ns` (inclusive of the bucket containing `at_ns`).
     /// Returns `None` for a never-recorded series; an idle-but-known
     /// series reports zeros. Windows longer than the ring extent are
-    /// clamped to it.
+    /// clamped to it. A series that began inside the window has its
+    /// `qps` taken over the buckets since its first.
     pub fn window_at(&self, name: &str, window_secs: u64, at_ns: u64) -> Option<WindowStats> {
         let window_secs = window_secs.clamp(1, self.window_secs);
         let at_epoch = at_ns / self.bucket_ns;
         let span = (window_secs * SECOND_NS).div_ceil(self.bucket_ns);
         let first_epoch = (at_epoch + 1).saturating_sub(span);
-        let mut seen = false;
+        let mut series_start: Option<u64> = None;
         let mut count = 0u64;
         let mut errors = 0u64;
         let mut hist = Histogram::new();
         for shard in &self.shards {
             let state = shard.lock();
-            let Some(ring) = state.series.get(name) else {
+            let Some(series) = state.series.get(name) else {
                 continue;
             };
-            seen = true;
-            for bucket in ring {
+            series_start =
+                Some(series_start.map_or(series.first_epoch, |s| s.min(series.first_epoch)));
+            for bucket in &series.ring {
                 if bucket.epoch == EMPTY_EPOCH
                     || bucket.epoch < first_epoch
                     || bucket.epoch > at_epoch
@@ -295,7 +317,17 @@ impl RollingRecorder {
                 hist.merge(&bucket.hist);
             }
         }
-        seen.then(|| WindowStats::from_merged(name, window_secs, count, errors, hist))
+        let start = series_start?;
+        let buckets = (at_epoch + 1).saturating_sub(start).max(1);
+        let live_secs = (buckets * self.bucket_ns / SECOND_NS).min(window_secs);
+        Some(WindowStats::from_merged(
+            name,
+            window_secs,
+            live_secs,
+            count,
+            errors,
+            hist,
+        ))
     }
 
     /// [`window_at`](Self::window_at) read at the clock's current time.
@@ -370,6 +402,26 @@ mod tests {
         assert!((w.error_rate - 0.2).abs() < 1e-12);
         assert_eq!(w.min_ns, 100);
         assert_eq!(w.max_ns, 119);
+    }
+
+    #[test]
+    fn qps_counts_the_time_since_the_series_began() {
+        // 40 records over 2 s, read through a 60 s window: 20 a second,
+        // not 40 / 60.
+        let (_, rec) = recorder(60, 2);
+        for i in 0..40u64 {
+            rec.record_at(i as usize % 2, "q", i * SECOND_NS / 20, 100, false);
+        }
+        let w = rec.window_at("q", 60, 2 * SECOND_NS - 1).unwrap();
+        assert_eq!((w.count, w.window_secs), (40, 60));
+        assert!((w.qps - 20.0).abs() < 1e-12, "{}", w.qps);
+        // Inside the first bucket, it counts one bucket.
+        let first = rec.window_at("q", 60, 0).unwrap();
+        assert!((first.qps - first.count as f64).abs() < 1e-12);
+        // A series older than the window keeps count / window.
+        rec.record_at(0, "q", 100 * SECOND_NS, 100, false);
+        let w = rec.window_at("q", 10, 100 * SECOND_NS).unwrap();
+        assert!((w.qps - 0.1).abs() < 1e-12, "{}", w.qps);
     }
 
     #[test]

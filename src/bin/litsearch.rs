@@ -636,11 +636,14 @@ A flag a command does not read is an error. `top`, `quality` and
 
 `prepare` runs the whole offline phase — context sets, pattern mining,
 and all five standard prestige tables — one stage after another, each
-stage parallel across contexts (`--build-threads N` threads; 0, the
-default, uses every core; any N gives the same result), and writes a
-versioned snapshot directory. `search --snapshot DIR` warm-starts from
+stage parallel across contexts (`--build-threads N` per-context
+workers; 0, the default, uses every core; any N gives the same result),
+and writes a versioned snapshot directory. The index build always runs
+its three parts (whole-paper model, section models, citation graph)
+side by side, whatever N. `search --snapshot DIR` warm-starts from
 that directory, skipping every per-context prestige/PageRank
-computation. `assign` and `prestige` write one set or table of that
+computation; it reads the corpus and the sets and prestige files on
+two threads. `assign` and `prestige` write one set or table of that
 phase into the data directory, and `search --data DIR` prepares its
 one (kind, function) pair in process; both print and write exactly
 what the snapshot holds.

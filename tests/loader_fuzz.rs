@@ -11,15 +11,18 @@
 //! and a repeated key change nothing; nesting past the bound is refused.
 //! A handful of cases write the damaged file into a copy of the snapshot
 //! and load it whole: `load_snapshot` must refuse it or load a snapshot
-//! that answers a query.
+//! that answers a query. An id of the corpus past its range is refused,
+//! and with two files damaged the load reports the earlier file's error,
+//! although it reads the corpus and the tables on two threads.
 
 use litsearch::context_search::persist::{
     context_sets_from_json, context_sets_to_json, load_snapshot, prestige_from_json,
     prestige_to_json, save_snapshot,
 };
 use litsearch::context_search::{EngineConfig, EngineSnapshot, PrepareOptions};
-use litsearch::corpus::{generate_corpus, Corpus, CorpusConfig};
-use litsearch::ontology::{generate_ontology, GeneratorConfig};
+use litsearch::corpus::store::CorpusFile;
+use litsearch::corpus::{generate_corpus, AuthorId, Corpus, CorpusConfig, Paper, PaperId};
+use litsearch::ontology::{generate_ontology, GeneratorConfig, TermId};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -293,14 +296,22 @@ fn pristine(name: &str) -> &'static Result<String, String> {
 /// Load a copy of the snapshot whose file `name` holds `text`, and
 /// query every pair of what loads.
 fn load_with(fixture: &Fixture, tag: &str, name: &str, text: &str) -> Result<(), String> {
+    load_with_all(fixture, tag, &[(name, text)])
+}
+
+/// [`load_with`] for a copy whose files `damaged` names hold its texts.
+fn load_with_all(fixture: &Fixture, tag: &str, damaged: &[(&str, &str)]) -> Result<(), String> {
     let dir = scratch_dir(tag);
     std::fs::write(dir.join("ontology.obo"), &fixture.obo).unwrap();
     for (file, pristine) in &fixture.files {
-        let content = if *file == name { text } else { pristine };
+        let content = damaged
+            .iter()
+            .find(|(name, _)| name == file)
+            .map_or(pristine.as_str(), |(_, text)| text);
         std::fs::write(dir.join(file), content).unwrap();
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| load(&dir)))
-        .map_err(|_| format!("loading or querying it panicked with {name} {tag}"));
+        .map_err(|_| format!("loading or querying it panicked with {damaged:?} {tag}"));
     std::fs::remove_dir_all(&dir).unwrap();
     outcome?
 }
@@ -356,6 +367,94 @@ fn load_snapshot_refuses_damage_and_never_panics() {
     let at = corpus.find("\"title\":\"").unwrap() + "\"title\":\"".len();
     let damaged = splice(corpus, (at, at + 1), "Q");
     load_with(fixture, "title", "corpus.json", &damaged).expect("a changed title loads");
+}
+
+/// An id that points nowhere loads today only if nothing checks it:
+/// each of the corpus's six id fields, set just past its range, is
+/// refused by the whole load, with an error naming the field.
+#[test]
+fn corpus_ids_past_their_range_are_refused() {
+    let fixture = fixture();
+    let pristine = &fixture.files[1].1;
+    let file: CorpusFile = serde_json::from_str(pristine).unwrap();
+    let (papers, authors) = (file.papers.len() as u32, file.author_names.len() as u32);
+    let terms = 80;
+    let with = |what: &str, damage: &dyn Fn(&mut CorpusFile)| {
+        let mut file: CorpusFile = serde_json::from_str(pristine).unwrap();
+        damage(&mut file);
+        let err = load_with(
+            fixture,
+            "ids",
+            "corpus.json",
+            &serde_json::to_string(&file).unwrap(),
+        )
+        .expect_err(what);
+        assert!(
+            err.contains("corrupt snapshot: corpus.json"),
+            "{what}: {err}"
+        );
+        err
+    };
+    let first = |f: &CorpusFile, has: fn(&Paper) -> bool| f.papers.iter().position(has).unwrap();
+    let cited = first(&file, |p| !p.references.is_empty());
+    let bylined = first(&file, |p| !p.authors.is_empty());
+    let topical = first(&file, |p| !p.true_topics.is_empty());
+    let err = with("a misplaced id", &|f| f.papers[7].id = PaperId(papers + 1));
+    assert!(err.contains("position 7 has id 401"), "{err}");
+    let err = with("a reference", &|f| {
+        f.papers[cited].references[0] = PaperId(papers)
+    });
+    assert!(
+        err.contains(&format!("paper {cited}: references entry 400")),
+        "{err}"
+    );
+    let err = with("an evidence paper", &|f| f.evidence[0].1[0] = papers);
+    assert!(err.contains("paper 400 is out of range"), "{err}");
+    let err = with("an author", &|f| {
+        f.papers[bylined].authors[0] = AuthorId(authors)
+    });
+    assert!(
+        err.contains(&format!("paper {bylined}: authors entry {authors}")),
+        "{err}"
+    );
+    let err = with("an evidence term", &|f| f.evidence[0].0 = terms);
+    assert!(err.contains("evidence names term 80"), "{err}");
+    let err = with("a true topic", &|f| {
+        f.papers[topical].true_topics[0] = TermId(terms)
+    });
+    assert!(
+        err.contains(&format!("paper {topical} names true topic 80")),
+        "{err}"
+    );
+}
+
+/// The load reads the corpus on the calling thread and the tables on a
+/// second one, yet reports what reading the files one after another
+/// would: with two files damaged, the error of the earlier one alone.
+#[test]
+fn two_damaged_files_give_the_earlier_files_error() {
+    let fixture = fixture();
+    // In load order: the corpus, then the sets, then the prestige.
+    let damaged: Vec<(&str, &str)> = [1, 2, 7]
+        .map(|i| {
+            let (name, text) = pick(fixture, i);
+            (name, &text[..text.len() / 2])
+        })
+        .to_vec();
+    let alone: Vec<String> = damaged
+        .iter()
+        .map(|&one| load_with_all(fixture, "alone", &[one]).expect_err(one.0))
+        .collect();
+    for (i, a) in alone.iter().enumerate() {
+        assert!(!alone[i + 1..].contains(a), "two files fail alike: {a}");
+    }
+    for (earlier, later) in [(0, 1), (0, 2), (1, 2)] {
+        let both = [damaged[earlier], damaged[later]];
+        for order in [both, [both[1], both[0]]] {
+            let err = load_with_all(fixture, "both", &order).expect_err("two damaged files");
+            assert_eq!(err, alone[earlier], "{} and {}", both[0].0, both[1].0);
+        }
+    }
 }
 
 proptest! {
