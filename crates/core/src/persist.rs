@@ -358,17 +358,61 @@ fn check_column(
 /// context paper sets, and every prepared prestige table.
 ///
 /// The header is written last, so a directory interrupted mid-save
-/// never presents itself as loadable. The corpus is serialized with the
+/// never presents itself as loadable; a header an earlier save left is
+/// removed before any payload file is written, so it cannot vouch for a
+/// mix of old and new files. The corpus is serialized with the
 /// ontology's term names (in term-id order) as its extra texts — the
 /// same convention `generate_corpus` and the CLI use — so the rebuilt
 /// vocabulary, and therefore every TF-IDF vector and query analysis, is
 /// bit-identical after [`load_snapshot`].
+///
+/// The payload is written on two lanes: a second thread writes the
+/// ontology and the corpus, while the calling thread writes both sets
+/// files and then the prestige files. Both lanes run to the end; then
+/// the corpus lane's error wins, and after it the tables lane's first,
+/// which is the error writing the files one after another in that
+/// order gives. The header follows only when both lanes succeed.
 pub fn save_snapshot(snapshot: &EngineSnapshot, dir: &Path) -> Result<(), PersistError> {
     let _span = obs::span("persist.save_snapshot");
     std::fs::create_dir_all(dir).map_err(|source| PersistError::Io {
         path: dir.to_path_buf(),
         source,
     })?;
+    let header_path = dir.join("snapshot.json");
+    if let Err(source) = std::fs::remove_file(&header_path) {
+        if source.kind() != std::io::ErrorKind::NotFound {
+            return Err(PersistError::Io {
+                path: header_path,
+                source,
+            });
+        }
+    }
+    let pairs = snapshot.pairs();
+    let (corpus_lane, tables_lane) = std::thread::scope(|scope| {
+        let corpus = scope.spawn(|| save_corpus(snapshot, dir));
+        let tables = save_tables(snapshot, dir, &pairs);
+        (corpus.join(), tables)
+    });
+    corpus_lane.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+    tables_lane?;
+    let header = SnapshotHeader {
+        magic: SNAPSHOT_MAGIC.to_string(),
+        version: SNAPSHOT_VERSION,
+        papers: snapshot.corpus().len(),
+        terms: snapshot.ontology().len(),
+        pairs: pairs
+            .iter()
+            .map(|&(k, f)| (k.name().to_string(), f.name().to_string()))
+            .collect(),
+    };
+    write_file(&header_path, &serde_json::to_string_pretty(&header)?)?;
+    obs::counter("persist.snapshots_saved", 1);
+    Ok(())
+}
+
+/// The corpus lane of [`save_snapshot`]: `ontology.obo`, then
+/// `corpus.json`.
+fn save_corpus(snapshot: &EngineSnapshot, dir: &Path) -> Result<(), PersistError> {
     let ontology = snapshot.ontology();
     write_file(
         &dir.join("ontology.obo"),
@@ -381,15 +425,23 @@ pub fn save_snapshot(snapshot: &EngineSnapshot, dir: &Path) -> Result<(), Persis
     write_file(
         &dir.join("corpus.json"),
         &snapshot.corpus().to_json(&term_names),
-    )?;
+    )
+}
+
+/// The tables lane of [`save_snapshot`]: both sets files, then the
+/// prestige files of `pairs` in order, stopping at the first error.
+fn save_tables(
+    snapshot: &EngineSnapshot,
+    dir: &Path,
+    pairs: &[PrestigePair],
+) -> Result<(), PersistError> {
     for kind in [ContextSetKind::TextBased, ContextSetKind::PatternBased] {
         write_file(
             &dir.join(sets_file_name(kind)),
             &context_sets_to_json(snapshot.sets(kind))?,
         )?;
     }
-    let pairs = snapshot.pairs();
-    for &(kind, function) in &pairs {
+    for &(kind, function) in pairs {
         let table = snapshot.prestige(kind, function).ok_or_else(|| {
             PersistError::Corrupt(format!(
                 "pairs() listed unprepared table {}/{}",
@@ -402,21 +454,6 @@ pub fn save_snapshot(snapshot: &EngineSnapshot, dir: &Path) -> Result<(), Persis
             &prestige_to_json(table)?,
         )?;
     }
-    let header = SnapshotHeader {
-        magic: SNAPSHOT_MAGIC.to_string(),
-        version: SNAPSHOT_VERSION,
-        papers: snapshot.corpus().len(),
-        terms: ontology.len(),
-        pairs: pairs
-            .iter()
-            .map(|&(k, f)| (k.name().to_string(), f.name().to_string()))
-            .collect(),
-    };
-    write_file(
-        &dir.join("snapshot.json"),
-        &serde_json::to_string_pretty(&header)?,
-    )?;
-    obs::counter("persist.snapshots_saved", 1);
     Ok(())
 }
 

@@ -10,7 +10,7 @@
 use crate::config::EngineConfig;
 use crate::context::{ContextId, ContextPaperSets};
 use crate::indexes::CorpusIndex;
-use crate::prestige::text::combined_similarity;
+use crate::prestige::text::Representative;
 use corpus::{Corpus, PaperId};
 
 /// One related paper.
@@ -53,11 +53,12 @@ pub fn more_like_this(
     }
     candidates.sort_unstable();
     candidates.dedup_by_key(|&mut (p, _)| p);
+    let source_rep = Representative::new(corpus, index, source);
     let mut out: Vec<RelatedPaper> = candidates
         .into_iter()
         .map(|(paper, shared_context)| RelatedPaper {
             paper,
-            similarity: combined_similarity(corpus, index, config, paper, source),
+            similarity: source_rep.similarity(corpus, index, config, paper),
             shared_context,
         })
         .collect();

@@ -8,9 +8,12 @@
 use crate::join;
 use crate::score::{regular_pattern_score, total_term_score, RegularScoreInputs, Selectivity};
 use crate::sigterms::SignificantPhrase;
-use std::collections::{BTreeSet, HashSet};
-use textproc::phrase::find_occurrences;
-use textproc::TermId;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+use textproc::{FxHasher, TermId};
+
+// Keyed by phrases of corpus text, never by a request.
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// How a pattern was constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,6 +89,11 @@ impl Default for PatternConfig {
 /// Regular patterns are built first, then extended patterns are joined
 /// from the regular ones ([`crate::join`]). Output is sorted by
 /// descending score.
+///
+/// One pass over the training papers counts every significant phrase,
+/// the best `max_regular` are kept, and a second pass collects the side
+/// windows of those alone. A phrase listed twice gets the same counts
+/// and windows on each copy; an empty phrase occurs nowhere.
 pub fn build_patterns(
     significant: &[SignificantPhrase],
     context_words: &[TermId],
@@ -96,55 +104,62 @@ pub fn build_patterns(
 ) -> Vec<Pattern> {
     let context_set: HashSet<TermId> = context_words.iter().copied().collect();
     let n_training = training_docs.len();
-    let mut patterns: Vec<Pattern> = Vec::with_capacity(significant.len());
+    let (slots, counts) = count_phrases(significant, training_docs);
+    let mut ctx_selectivities: Vec<f64> = Vec::new();
+    let scores: Vec<f64> = significant
+        .iter()
+        .zip(&slots)
+        .map(|(phrase, &slot)| {
+            let count = &counts[slot];
+            ctx_selectivities.clear();
+            ctx_selectivities.extend(
+                phrase
+                    .tokens
+                    .iter()
+                    .filter(|t| context_set.contains(t))
+                    .map(|&t| selectivity.selectivity(t)),
+            );
+            let inputs = RegularScoreInputs {
+                source: phrase.source,
+                total_term_score: total_term_score(&ctx_selectivities),
+                occurrences: count.occurrences,
+                training_paper_fraction: if n_training == 0 {
+                    0.0
+                } else {
+                    count.papers as f64 / n_training as f64
+                },
+                coverage: coverage_of(&phrase.tokens),
+            };
+            regular_pattern_score(&inputs, config.coverage_exponent, config.freq_weight)
+        })
+        .collect();
 
-    for phrase in significant {
-        let mut left = BTreeSet::new();
-        let mut right = BTreeSet::new();
-        let mut occurrences = 0u32;
-        let mut containing_docs = 0u32;
-        for doc in training_docs {
-            let occs = find_occurrences(doc, &phrase.tokens);
-            if !occs.is_empty() {
-                containing_docs += 1;
-            }
-            occurrences += occs.len() as u32;
-            for &start in &occs {
-                let lo = start.saturating_sub(config.window);
-                left.extend(doc[lo..start].iter().copied());
-                let end = start + phrase.tokens.len();
-                let hi = (end + config.window).min(doc.len());
-                right.extend(doc[end..hi].iter().copied());
-            }
-        }
-        let ctx_selectivities: Vec<f64> = phrase
-            .tokens
-            .iter()
-            .filter(|t| context_set.contains(t))
-            .map(|&t| selectivity.selectivity(t))
-            .collect();
-        let inputs = RegularScoreInputs {
-            source: phrase.source,
-            total_term_score: total_term_score(&ctx_selectivities),
-            occurrences,
-            training_paper_fraction: if n_training == 0 {
-                0.0
-            } else {
-                containing_docs as f64 / n_training as f64
-            },
-            coverage: coverage_of(&phrase.tokens),
-        };
-        patterns.push(Pattern {
+    // The order `sort_by_score` gives these patterns: a stable sort
+    // under the same comparator, over the same input order.
+    let mut kept: Vec<usize> = (0..significant.len()).collect();
+    kept.sort_by(|&a, &b| {
+        score_order(
+            (scores[a], &significant[a].tokens),
+            (scores[b], &significant[b].tokens),
+        )
+    });
+    kept.truncate(config.max_regular);
+    let middles: Vec<&[TermId]> = kept
+        .iter()
+        .map(|&i| significant[i].tokens.as_slice())
+        .collect();
+    let sides = side_windows(&middles, training_docs, config.window);
+    let mut patterns: Vec<Pattern> = kept
+        .iter()
+        .zip(sides)
+        .map(|(&i, (left, right))| Pattern {
             left,
-            middle: phrase.tokens.clone(),
+            middle: significant[i].tokens.clone(),
             right,
             kind: PatternKind::Regular,
-            score: regular_pattern_score(&inputs, config.coverage_exponent, config.freq_weight),
-        });
-    }
-
-    sort_by_score(&mut patterns);
-    patterns.truncate(config.max_regular);
+            score: scores[i],
+        })
+        .collect();
 
     let extended = join::extend_patterns(&patterns, config.max_extended);
     patterns.extend(extended);
@@ -152,12 +167,122 @@ pub fn build_patterns(
     patterns
 }
 
-pub(crate) fn sort_by_score(patterns: &mut [Pattern]) {
-    patterns.sort_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then_with(|| a.middle.cmp(&b.middle))
+/// Occurrences of one phrase in the training papers, overlapping ones
+/// included, and the papers holding at least one.
+#[derive(Clone, Copy, Default)]
+struct PhraseCount {
+    occurrences: u32,
+    papers: u32,
+    /// One past the index of the last paper counted in `papers`.
+    last_paper: usize,
+}
+
+/// Slot each distinct phrase of `phrases` in a map keyed by its tokens:
+/// `slots[i]` is phrase `i`'s, shared by its repeats. Also the distinct
+/// non-zero phrase lengths, ascending: context-name phrases can be
+/// longer than the miner's `max_phrase_len`.
+fn slot_phrases<'p>(
+    phrases: impl IntoIterator<Item = &'p [TermId]>,
+) -> (FxMap<&'p [TermId], usize>, Vec<usize>, Vec<usize>) {
+    let mut slot_of: FxMap<&[TermId], usize> = FxMap::default();
+    let slots: Vec<usize> = phrases
+        .into_iter()
+        .map(|tokens| {
+            let next = slot_of.len();
+            *slot_of.entry(tokens).or_insert(next)
+        })
+        .collect();
+    let mut lengths: Vec<usize> = slot_of.keys().map(|t| t.len()).filter(|&n| n > 0).collect();
+    lengths.sort_unstable();
+    lengths.dedup();
+    (slot_of, slots, lengths)
+}
+
+/// Call `hit(slot, doc, start, len)` for every occurrence in `docs` of
+/// a phrase of `slot_of`, overlapping ones included: at each start
+/// position, the window of each length in `lengths` (ascending) is
+/// looked up once.
+fn for_each_occurrence(
+    docs: &[Vec<TermId>],
+    slot_of: &FxMap<&[TermId], usize>,
+    lengths: &[usize],
+    mut hit: impl FnMut(usize, usize, usize, usize),
+) {
+    for (d, doc) in docs.iter().enumerate() {
+        for start in 0..doc.len() {
+            let rest = &doc[start..];
+            for &len in lengths {
+                let Some(window) = rest.get(..len) else { break };
+                if let Some(&slot) = slot_of.get(window) {
+                    hit(slot, d, start, len);
+                }
+            }
+        }
+    }
+}
+
+/// Count every significant phrase in the training papers in one pass:
+/// each phrase's slot, and the counts by slot.
+fn count_phrases(
+    significant: &[SignificantPhrase],
+    training_docs: &[Vec<TermId>],
+) -> (Vec<usize>, Vec<PhraseCount>) {
+    let (slot_of, slots, lengths) = slot_phrases(significant.iter().map(|p| p.tokens.as_slice()));
+    let mut counts = vec![PhraseCount::default(); slot_of.len()];
+    for_each_occurrence(training_docs, &slot_of, &lengths, |slot, d, _, _| {
+        let count = &mut counts[slot];
+        count.occurrences += 1;
+        if count.last_paper != d + 1 {
+            count.last_paper = d + 1;
+            count.papers += 1;
+        }
     });
+    (slots, counts)
+}
+
+/// The left and right word sets seen within `window` words of every
+/// occurrence of each of `middles` in the training papers, in the order
+/// of `middles`.
+fn side_windows(
+    middles: &[&[TermId]],
+    training_docs: &[Vec<TermId>],
+    window: usize,
+) -> Vec<(BTreeSet<TermId>, BTreeSet<TermId>)> {
+    let (slot_of, slots, lengths) = slot_phrases(middles.iter().copied());
+    let mut sides = vec![(BTreeSet::new(), BTreeSet::new()); slot_of.len()];
+    for_each_occurrence(training_docs, &slot_of, &lengths, |slot, d, start, len| {
+        let doc = &training_docs[d];
+        let (left, right) = &mut sides[slot];
+        left.extend(doc[start.saturating_sub(window)..start].iter().copied());
+        let end = start + len;
+        right.extend(doc[end..(end + window).min(doc.len())].iter().copied());
+    });
+    // A repeated middle's earlier copies take clones; its last copy
+    // takes the sets.
+    let mut last_user = vec![0; sides.len()];
+    for (k, &slot) in slots.iter().enumerate() {
+        last_user[slot] = k;
+    }
+    slots
+        .iter()
+        .enumerate()
+        .map(|(k, &slot)| {
+            if last_user[slot] == k {
+                std::mem::take(&mut sides[slot])
+            } else {
+                sides[slot].clone()
+            }
+        })
+        .collect()
+}
+
+pub(crate) fn sort_by_score(patterns: &mut [Pattern]) {
+    patterns.sort_by(|a, b| score_order((a.score, &a.middle), (b.score, &b.middle)));
+}
+
+/// Descending score, then ascending middle.
+fn score_order(a: (f64, &[TermId]), b: (f64, &[TermId])) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1))
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub mod vocab;
 pub use index::{CandidateScratch, InvertedIndex};
 pub use sparse::SparseVector;
 pub use tfidf::TfIdfModel;
-pub use vocab::{TermId, Vocabulary};
+pub use vocab::{FxHasher, TermId, Vocabulary};
 
 /// Full analysis pipeline: tokenize, drop stopwords, drop very short
 /// tokens, Porter-stem each remaining token.

@@ -8,8 +8,14 @@
 //! (n+1)-grams are generated only from frequent n-grams (the apriori
 //! pruning property — every sub-phrase of a frequent phrase is frequent).
 
-use crate::vocab::TermId;
+use crate::vocab::{FxHasher, TermId};
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+
+// The miner's keys are n-grams of corpus text, so its maps hash with
+// FxHash; its output is sorted, so their order never shows.
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+type FxSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// A mined phrase with its document-level support.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,12 +42,15 @@ pub fn frequent_phrases(
     let mut result: Vec<FrequentPhrase> = Vec::new();
 
     // Level 1: unigram document frequencies.
-    let mut frequent_prev: HashSet<Vec<TermId>> = HashSet::new();
-    let mut counts: HashMap<Vec<TermId>, u32> = HashMap::new();
+    let mut frequent_prev: FxSet<Vec<TermId>> = FxSet::default();
+    let mut counts: FxMap<Vec<TermId>, u32> = FxMap::default();
+    let mut seen: FxSet<&[TermId]> = FxSet::default();
     for doc in docs {
-        let distinct: HashSet<TermId> = doc.iter().copied().collect();
-        for t in distinct {
-            *counts.entry(vec![t]).or_insert(0) += 1;
+        seen.clear();
+        for unigram in doc.chunks(1) {
+            if seen.insert(unigram) {
+                count(&mut counts, unigram);
+            }
         }
     }
     collect_level(&mut counts, min_support, &mut frequent_prev, &mut result);
@@ -52,12 +61,9 @@ pub fn frequent_phrases(
         if frequent_prev.is_empty() {
             break;
         }
-        let mut counts: HashMap<Vec<TermId>, u32> = HashMap::new();
+        let mut counts: FxMap<Vec<TermId>, u32> = FxMap::default();
         for doc in docs {
-            if doc.len() < n {
-                continue;
-            }
-            let mut seen: HashSet<&[TermId]> = HashSet::new();
+            seen.clear();
             for window in doc.windows(n) {
                 if seen.contains(window) {
                     continue;
@@ -69,7 +75,7 @@ pub fn frequent_phrases(
                     continue;
                 }
                 seen.insert(window);
-                *counts.entry(window.to_vec()).or_insert(0) += 1;
+                count(&mut counts, window);
             }
         }
         frequent_prev.clear();
@@ -80,10 +86,21 @@ pub fn frequent_phrases(
     result
 }
 
+/// Count one more document holding `phrase`; the key is copied only
+/// the first time.
+fn count(counts: &mut FxMap<Vec<TermId>, u32>, phrase: &[TermId]) {
+    match counts.get_mut(phrase) {
+        Some(support) => *support += 1,
+        None => {
+            counts.insert(phrase.to_vec(), 1);
+        }
+    }
+}
+
 fn collect_level(
-    counts: &mut HashMap<Vec<TermId>, u32>,
+    counts: &mut FxMap<Vec<TermId>, u32>,
     min_support: u32,
-    frequent: &mut HashSet<Vec<TermId>>,
+    frequent: &mut FxSet<Vec<TermId>>,
     result: &mut Vec<FrequentPhrase>,
 ) {
     for (phrase, support) in counts.drain() {
@@ -95,19 +112,6 @@ fn collect_level(
             });
         }
     }
-}
-
-/// Count occurrences (not documents) of each n-gram of length `n` in one
-/// token sequence. Used for pattern occurrence-frequency statistics.
-pub fn ngram_occurrences(doc: &[TermId], n: usize) -> HashMap<Vec<TermId>, u32> {
-    let mut out = HashMap::new();
-    if n == 0 || doc.len() < n {
-        return out;
-    }
-    for w in doc.windows(n) {
-        *out.entry(w.to_vec()).or_insert(0) += 1;
-    }
-    out
 }
 
 /// Find all start positions where `needle` occurs contiguously in
@@ -182,14 +186,6 @@ mod tests {
         assert_eq!(find_occurrences(&hay, &ids(&[2, 1])), vec![1, 3]);
         assert!(find_occurrences(&hay, &ids(&[9])).is_empty());
         assert!(find_occurrences(&hay, &ids(&[])).is_empty());
-    }
-
-    #[test]
-    fn ngram_occurrences_counts_tokens() {
-        let doc = ids(&[1, 2, 1, 2]);
-        let bi = ngram_occurrences(&doc, 2);
-        assert_eq!(bi[&ids(&[1, 2])], 2);
-        assert_eq!(bi[&ids(&[2, 1])], 1);
     }
 
     proptest::proptest! {

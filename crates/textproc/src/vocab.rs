@@ -44,15 +44,18 @@ pub struct MemoInterner<'a> {
     token: String,
 }
 
-/// FxHash's multiply-rotate hash over 8-byte words, for the raw-token
-/// memo of [`MemoInterner`].
+/// FxHash's multiply-rotate hash over 8-byte words, for maps whose keys
+/// come from the corpus files and never from a request: the raw-token
+/// memo of [`MemoInterner`], the phrase miner's n-gram counts
+/// ([`frequent_phrases`](crate::phrase::frequent_phrases)) and the
+/// pattern builder's phrase counts.
 ///
-/// It is several times cheaper per token than SipHash and does not
-/// resist chosen collisions. The memo's keys come from the corpus
-/// files, never from a request; [`Vocabulary::get`], which the query
-/// path calls, keeps the std hasher.
+/// It is several times cheaper per key than SipHash and does not
+/// resist chosen collisions, so a key a client can choose must not
+/// reach it; [`Vocabulary::get`], which the query path calls, keeps the
+/// std hasher.
 #[derive(Default)]
-struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -72,6 +75,19 @@ impl Hasher for FxHasher {
             // The tail, zero-padded, as a little-endian word.
             self.add(bytes.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)));
         }
+    }
+
+    // A `TermId` slice hashes its length and then each id. These give
+    // the word `write` makes of the same little-endian bytes, without
+    // the byte loop.
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
 
     #[inline]
@@ -239,6 +255,26 @@ mod tests {
         };
         assert_ne!(hash("phosphorylation"), hash("phosphorylated"));
         assert_ne!(hash("abcdefgh"), hash("abcdefgh\0"));
+    }
+
+    #[test]
+    fn fx_hasher_integer_writes_hash_as_their_little_endian_bytes() {
+        let finish = |write: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            write(&mut h);
+            h.finish()
+        };
+        for n in [0u32, 1, 0xff, 0x1234_5678, u32::MAX] {
+            assert_eq!(
+                finish(&|h| h.write_u32(n)),
+                finish(&|h| h.write(&n.to_le_bytes()))
+            );
+            let n = n as usize * 0x1_0001;
+            assert_eq!(
+                finish(&|h| h.write_usize(n)),
+                finish(&|h| h.write(&n.to_le_bytes()))
+            );
+        }
     }
 
     proptest::proptest! {

@@ -1,17 +1,20 @@
 //! Differential proof for the prepare stages: author similarity from
-//! two counts, phrase hits found once from word positions, and the
-//! pattern sets and pattern prestige that read those hits must
-//! reproduce the set-building, section-scanning algorithms **bit for
-//! bit** — the same members, the same inherited-from links and the
-//! same `f64` bits in every prestige column, at one and at four
-//! threads.
+//! two counts, text prestige against a dense representative, phrase
+//! counts taken in one pass, phrase hits found once from word
+//! positions, and the pattern sets and pattern prestige that read those
+//! hits must reproduce the set-building, scanning algorithms **bit for
+//! bit** — the same patterns, members and inherited-from links and the
+//! same `f64` bits in every score, at one and at four threads.
 //!
 //! The reference below keeps those algorithms verbatim: author
 //! similarity through three `HashSet`s (one the union of the paper's
-//! authors' coauthor sets), a phrase check that scans every section of
-//! every paper, `match_strength` with its per-occurrence middle-only
-//! branch, and the direct-assignment, aggregation and inheritance loop
-//! of `build_pattern_sets`.
+//! authors' coauthor sets), text prestige through the sorted-merge
+//! section cosine, `build_patterns` scanning every training paper once
+//! per significant phrase, the phrase miner as a brute-force count of
+//! every n-gram, a phrase check that scans every section of every
+//! paper, `match_strength` with its per-occurrence middle-only branch,
+//! and the direct-assignment, aggregation and inheritance loop of
+//! `build_pattern_sets`.
 
 use litsearch::citegraph::coupling::citation_similarity;
 use litsearch::context_search::assign::{
@@ -25,10 +28,14 @@ use litsearch::context_search::{
 };
 use litsearch::corpus::{generate_corpus, AuthorId, Corpus, CorpusConfig, Paper, PaperId, Section};
 use litsearch::ontology::{generate_ontology, GeneratorConfig, Ontology};
-use litsearch::patterns::{MatcherConfig, Pattern, SectionTokens};
+use litsearch::patterns::{
+    build_patterns, extract_significant_terms, MatcherConfig, Pattern, PatternConfig, PhraseSource,
+    SectionTokens, Selectivity, SignificantPhrase,
+};
+use litsearch::textproc::phrase::{frequent_phrases, FrequentPhrase};
 use litsearch::textproc::TermId;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// The set-building, section-scanning prepare algorithms, reference copy.
 mod reference {
@@ -103,6 +110,112 @@ mod reference {
             by_context.insert(context, scores);
         }
         PrestigeScores::new(by_context, ScoreFunction::Text)
+    }
+
+    /// `build_patterns` scanning every training paper once per
+    /// significant phrase, and collecting every phrase's side windows.
+    pub fn build_patterns(
+        significant: &[SignificantPhrase],
+        context_words: &[TermId],
+        training_docs: &[Vec<TermId>],
+        selectivity: &Selectivity,
+        coverage_of: &dyn Fn(&[TermId]) -> f64,
+        config: &PatternConfig,
+    ) -> Vec<Pattern> {
+        use litsearch::patterns::score::{
+            regular_pattern_score, total_term_score, RegularScoreInputs,
+        };
+        use litsearch::patterns::{join, PatternKind};
+        use litsearch::textproc::phrase::find_occurrences;
+
+        let context_set: HashSet<TermId> = context_words.iter().copied().collect();
+        let n_training = training_docs.len();
+        let mut patterns: Vec<Pattern> = Vec::with_capacity(significant.len());
+
+        for phrase in significant {
+            let mut left = BTreeSet::new();
+            let mut right = BTreeSet::new();
+            let mut occurrences = 0u32;
+            let mut containing_docs = 0u32;
+            for doc in training_docs {
+                let occs = find_occurrences(doc, &phrase.tokens);
+                if !occs.is_empty() {
+                    containing_docs += 1;
+                }
+                occurrences += occs.len() as u32;
+                for &start in &occs {
+                    let lo = start.saturating_sub(config.window);
+                    left.extend(doc[lo..start].iter().copied());
+                    let end = start + phrase.tokens.len();
+                    let hi = (end + config.window).min(doc.len());
+                    right.extend(doc[end..hi].iter().copied());
+                }
+            }
+            let ctx_selectivities: Vec<f64> = phrase
+                .tokens
+                .iter()
+                .filter(|t| context_set.contains(t))
+                .map(|&t| selectivity.selectivity(t))
+                .collect();
+            let inputs = RegularScoreInputs {
+                source: phrase.source,
+                total_term_score: total_term_score(&ctx_selectivities),
+                occurrences,
+                training_paper_fraction: if n_training == 0 {
+                    0.0
+                } else {
+                    containing_docs as f64 / n_training as f64
+                },
+                coverage: coverage_of(&phrase.tokens),
+            };
+            patterns.push(Pattern {
+                left,
+                middle: phrase.tokens.clone(),
+                right,
+                kind: PatternKind::Regular,
+                score: regular_pattern_score(&inputs, config.coverage_exponent, config.freq_weight),
+            });
+        }
+
+        sort_by_score(&mut patterns);
+        patterns.truncate(config.max_regular);
+
+        let extended = join::extend_patterns(&patterns, config.max_extended);
+        patterns.extend(extended);
+        sort_by_score(&mut patterns);
+        patterns
+    }
+
+    fn sort_by_score(patterns: &mut [Pattern]) {
+        patterns.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| a.middle.cmp(&b.middle))
+        });
+    }
+
+    /// Every n-gram of length `1..=max_len` with the number of documents
+    /// holding it, those in at least `min_support` documents, by
+    /// descending support then ascending tokens.
+    pub fn frequent_phrases(
+        docs: &[Vec<TermId>],
+        min_support: u32,
+        max_len: usize,
+    ) -> Vec<FrequentPhrase> {
+        let mut support: BTreeMap<Vec<TermId>, u32> = BTreeMap::new();
+        for doc in docs {
+            let grams: BTreeSet<&[TermId]> = (1..=max_len).flat_map(|n| doc.windows(n)).collect();
+            for gram in grams {
+                *support.entry(gram.to_vec()).or_insert(0) += 1;
+            }
+        }
+        let mut out: Vec<FrequentPhrase> = support
+            .into_iter()
+            .filter(|&(_, support)| support >= min_support)
+            .map(|(tokens, support)| FrequentPhrase { tokens, support })
+            .collect();
+        out.sort_by(|a, b| b.support.cmp(&a.support).then(a.tokens.cmp(&b.tokens)));
+        out
     }
 
     /// For each of `middles`, every paper whose sections contain it,
@@ -549,5 +662,80 @@ proptest! {
                 prop_assert_eq!(got.to_bits(), expected.to_bits(), "papers {:?} {:?} of {:?}", a, b, &bylines);
             }
         }
+    }
+}
+
+proptest! {
+
+    /// One counting pass gives the per-phrase scan's patterns, in the
+    /// same order, score bits included. Papers over six words repeat
+    /// and overlap phrases, and some are empty; the context name can be
+    /// longer than the mined phrases; `max_regular` truncates; and the
+    /// significant list holds a repeated phrase and an empty one.
+    #[test]
+    fn build_patterns_matches_the_per_phrase_scan(
+        docs in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..14), 0..8),
+        name in proptest::collection::vec(0u32..6, 1..7),
+        other_name in proptest::collection::vec(0u32..6, 1..4),
+        min_support in 1u32..3,
+        max_phrase_len in 1usize..4,
+        window in 0usize..3,
+        max_regular in 1usize..8,
+        max_extended in 0usize..4,
+        repeated in 0usize..64,
+        empty_at in 0usize..64,
+    ) {
+        let ids = |xs: &[u32]| xs.iter().map(|&x| TermId(x)).collect::<Vec<_>>();
+        let docs: Vec<Vec<TermId>> = docs.iter().map(|d| ids(d)).collect();
+        let (name, other_name) = (ids(&name), ids(&other_name));
+        let mut significant = extract_significant_terms(&name, &docs, min_support, max_phrase_len);
+        let copy = significant[repeated % significant.len()].clone();
+        significant.push(copy);
+        significant.insert(
+            empty_at % (significant.len() + 1),
+            SignificantPhrase {
+                tokens: Vec::new(),
+                source: PhraseSource::FrequentOnly,
+                support: 0,
+            },
+        );
+        let selectivity = Selectivity::new([name.as_slice(), other_name.as_slice()]);
+        let coverage =
+            |middle: &[TermId]| (1.0 + middle.iter().map(|t| f64::from(t.0)).sum::<f64>()) / 40.0;
+        let config = PatternConfig {
+            window,
+            min_support,
+            max_phrase_len,
+            max_regular,
+            max_extended,
+            ..Default::default()
+        };
+        let got = build_patterns(&significant, &name, &docs, &selectivity, &coverage, &config);
+        let expected =
+            reference::build_patterns(&significant, &name, &docs, &selectivity, &coverage, &config);
+        prop_assert_eq!(got.len(), expected.len());
+        for (g, e) in got.iter().zip(&expected) {
+            prop_assert_eq!(&g.middle, &e.middle);
+            prop_assert_eq!(g.kind, e.kind);
+            prop_assert_eq!(g.score.to_bits(), e.score.to_bits(), "score of {:?}", &g.middle);
+            prop_assert_eq!(&g.left, &e.left, "left of {:?}", &g.middle);
+            prop_assert_eq!(&g.right, &e.right, "right of {:?}", &g.middle);
+        }
+    }
+
+    /// The apriori miner finds exactly the n-grams a brute-force count
+    /// of every n-gram finds, with the same supports, in the same order.
+    #[test]
+    fn frequent_phrases_match_the_brute_force_count(
+        docs in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..14), 0..8),
+        min_support in 0u32..4,
+        max_len in 0usize..5,
+    ) {
+        let docs: Vec<Vec<TermId>> =
+            docs.iter().map(|d| d.iter().map(|&x| TermId(x)).collect()).collect();
+        prop_assert_eq!(
+            frequent_phrases(&docs, min_support, max_len),
+            reference::frequent_phrases(&docs, min_support, max_len)
+        );
     }
 }

@@ -187,6 +187,43 @@ fn damaged_snapshots_fail_cleanly_not_loudly() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn a_failed_save_over_an_older_snapshot_leaves_no_header() {
+    let (a, b) = (snapshot(Scale::Tiny, 9), snapshot(Scale::Tiny, 10));
+    let dir = scratch_dir("resave");
+    save_snapshot(&a, &dir).expect("save A");
+    // B's save fails on one payload file: a directory stands in its way.
+    let blocked = dir.join("prestige_text_text.json");
+    std::fs::remove_file(&blocked).unwrap();
+    std::fs::create_dir(&blocked).unwrap();
+    let err = save_snapshot(&b, &dir).unwrap_err();
+    assert!(
+        matches!(&err, PersistError::Io { path, .. } if *path == blocked),
+        "{err}"
+    );
+    // A's header must not vouch for B's corpus beside A's tables.
+    assert!(!dir.join("snapshot.json").exists());
+    let err = load_snapshot(&dir, EngineConfig::default()).unwrap_err();
+    assert!(matches!(err, PersistError::Io { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_save_blocked_on_both_lanes_names_the_corpus_and_writes_no_header() {
+    let snap = snapshot(Scale::Tiny, 9);
+    let dir = scratch_dir("blocked");
+    for file in ["corpus.json", "prestige_pattern_citation.json"] {
+        std::fs::create_dir_all(dir.join(file)).unwrap();
+    }
+    let err = save_snapshot(&snap, &dir).unwrap_err();
+    assert!(
+        matches!(&err, PersistError::Io { path, .. } if path.ends_with("corpus.json")),
+        "{err}"
+    );
+    assert!(!dir.join("snapshot.json").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 fn read(dir: &Path, file: &str) -> String {
     std::fs::read_to_string(dir.join(file)).unwrap()
 }
